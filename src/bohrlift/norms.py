@@ -21,19 +21,13 @@ import numpy as np
 from .errors import DimensionCapError, NoClosedFormError
 from .sampling import (
     KRONECKER_QMC,
-    KRONECKER_SPAN,
     SamplerConfig,
+    kronecker_times,
     pairwise_mean,
     pairwise_sum,
     torus_angles,
 )
-from .series import (
-    DirichletPoly,
-    PowerPoly,
-    bohr_lift,
-    dirichlet_line_values,
-    power_values_at_angles,
-)
+from .series import DirichletPoly, PowerPoly, bohr_lift, dirichlet_line_values, evaluate
 from .spaces import row_norms, vector_norm
 
 EXACT_PARSEVAL = "exact_parseval"
@@ -94,16 +88,39 @@ def norm_h2_exact(poly) -> NormEstimate:
     return NormEstimate(value, EXACT_PARSEVAL)
 
 
-def _sample_norms(poly, cfg: SamplerConfig) -> np.ndarray:
-    """Coefficient-space norms of the polynomial at cfg.samples torus points."""
+def check_p(p: float) -> None:
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+
+
+def sample_target(poly, cfg: SamplerConfig):
+    """The polynomial a Monte Carlo estimate evaluates, and its sample points.
+
+    Under the Kronecker scheme a Dirichlet polynomial is evaluated
+    directly at the flow times (omega^alpha(n) = n^{-it}); otherwise
+    the lift is evaluated at torus angles.
+    """
     if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
-        # the flow evaluates D directly: omega^alpha(n) = n^{-it}
-        rng = np.random.default_rng(cfg.seed)
-        t = rng.uniform(0.0, KRONECKER_SPAN, size=cfg.samples)
-        return row_norms(dirichlet_line_values(poly, t), poly.space)
+        return poly, kronecker_times(cfg)
     P = _as_power(poly)
-    theta = torus_angles(cfg, P.width)
-    return row_norms(power_values_at_angles(P, theta), P.space)
+    return P, torus_angles(cfg, P.width)
+
+
+def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
+    """(mean of x^p)^{1/p} over the cfg.samples sample norms x, with its standard error.
+
+    The standard error follows the delta method,
+    se(value) = se(mean of x^p) * value^{1-p} / p.
+    """
+    xp = x**p
+    mean = pairwise_mean(xp)
+    value = mean ** (1.0 / p)
+    if cfg.samples > 1 and value > 0.0:
+        var = pairwise_sum((xp - mean) ** 2) / (cfg.samples - 1)
+        std_error = math.sqrt(var / cfg.samples) * value ** (1.0 - p) / p
+    else:
+        std_error = 0.0
+    return NormEstimate(value, TORUS_MC, std_error, cfg.samples, cfg.seed)
 
 
 def _constant_value(P: PowerPoly) -> float:
@@ -113,28 +130,31 @@ def _constant_value(P: PowerPoly) -> float:
 def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
     """Monte Carlo H_p estimate: (mean of ||lift(omega)||^p over samples)^{1/p}.
 
-    The standard error follows the delta method,
-    se(value) = se(mean of ||.||^p) * value^{1-p} / p.
+    The standard error follows the delta method (see `mc_estimate`).
     A constant polynomial short-circuits to its exact norm (every H_p
     norm of a constant is the coefficient norm), reported with zero
     standard error.  Fixed (samples, seed, scheme) reproduce bit-for-bit.
     """
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
-    P = _as_power(poly)
-    if P.width == 0:
-        return NormEstimate(_constant_value(P), EXACT_PARSEVAL, 0.0, 0, cfg.seed)
-    x = _sample_norms(poly, cfg)
-    xp = x**p
-    mean = pairwise_mean(xp)
-    value = mean ** (1.0 / p)
-    if cfg.samples > 1 and value > 0.0:
-        var = pairwise_sum((xp - mean) ** 2) / (cfg.samples - 1)
-        se_mean = math.sqrt(var / cfg.samples)
-        std_error = se_mean * value ** (1.0 - p) / p
-    else:
-        std_error = 0.0
-    return NormEstimate(value, TORUS_MC, std_error, cfg.samples, cfg.seed)
+    return norm_p_limit_check(poly, [p], cfg)[0][1]
+
+
+def lattice_value_chunks(P: PowerPoly, grid: int):
+    """Values of P on the width-fold lattice of grid-th roots of unity.
+
+    Yields (points, dim) value blocks in C order of the lattice, so a
+    scan holds one block at a time whatever the lattice size.
+    """
+    m = P.width
+    total = grid**m
+    step = 2.0 * math.pi / grid
+    chunk = max(1, 2_000_000 // max(len(P), 1))
+    for lo in range(0, total, chunk):
+        flat = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
+        theta = np.empty((flat.size, m), dtype=np.float64)
+        for j in range(m):
+            theta[:, j] = (flat // grid ** (m - 1 - j)) % grid
+        theta *= step
+        yield evaluate(P, theta)
 
 
 def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP) -> NormEstimate:
@@ -155,19 +175,10 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
         )
     if m == 0:
         return NormEstimate(_constant_value(P), TORUS_GRID_SUP, 0.0, 1)
-    total = grid_per_dim**m
     best = 0.0
-    step = 2.0 * math.pi / grid_per_dim
-    chunk = max(1, 2_000_000 // max(len(P), 1))
-    for lo in range(0, total, chunk):
-        flat = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
-        theta = np.empty((flat.size, m), dtype=np.float64)
-        for j in range(m):
-            theta[:, j] = (flat // grid_per_dim ** (m - 1 - j)) % grid_per_dim
-        theta *= step
-        vals = row_norms(power_values_at_angles(P, theta), P.space)
-        best = max(best, float(vals.max()))
-    return NormEstimate(best, TORUS_GRID_SUP, 0.0, total)
+    for vals in lattice_value_chunks(P, grid_per_dim):
+        best = max(best, float(row_norms(vals, P.space).max()))
+    return NormEstimate(best, TORUS_GRID_SUP, 0.0, grid_per_dim**m)
 
 
 def _line_norms(D: DirichletPoly, R: float, t_samples: int) -> tuple[np.ndarray, float]:
@@ -187,8 +198,7 @@ def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormE
     Converges to the H_p norm as R grows; use `vertical_mean_diagnostic`
     to watch the approach along R, 2R, 4R.
     """
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    check_p(p)
     vals, dt = _line_norms(D, R, t_samples)
     vp = vals**p
     integral = (pairwise_sum(vp) - 0.5 * (vp[0] + vp[-1])) * dt
@@ -228,22 +238,11 @@ def norm_p_limit_check(D, p_grid, cfg: SamplerConfig) -> list[tuple[float, NormE
     """
     ps = [float(p) for p in p_grid]
     for p in ps:
-        if not (p >= 1.0 and math.isfinite(p)):
-            raise ValueError(f"p grid entries must be finite reals >= 1, got {p!r}")
+        check_p(p)
     P = _as_power(D)
     if P.width == 0:
         c = _constant_value(P)
         return [(p, NormEstimate(c, EXACT_PARSEVAL, 0.0, 0, cfg.seed)) for p in ps]
-    x = _sample_norms(D, cfg)
-    out = []
-    for p in ps:
-        xp = x**p
-        mean = pairwise_mean(xp)
-        value = mean ** (1.0 / p)
-        if cfg.samples > 1 and value > 0.0:
-            var = pairwise_sum((xp - mean) ** 2) / (cfg.samples - 1)
-            se = math.sqrt(var / cfg.samples) * value ** (1.0 - p) / p
-        else:
-            se = 0.0
-        out.append((p, NormEstimate(value, TORUS_MC, se, cfg.samples, cfg.seed)))
-    return out
+    target, points = sample_target(D, cfg)
+    x = row_norms(evaluate(target, points), target.space)
+    return [(p, mc_estimate(x, p, cfg)) for p in ps]

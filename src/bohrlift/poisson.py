@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
-from .norms import NormEstimate, norm_h2_exact, norm_hp_mc
+from .norms import NormEstimate, lattice_value_chunks, norm_h2_exact, norm_hp_mc
 from .sampling import SamplerConfig
-from .series import PowerPoly, power_values_at_angles
+from .series import PowerPoly
 
 #: Widest polynomial the grid-quadrature path will accept by default.
 DEFAULT_POISSON_DIM_CAP = 4
@@ -147,23 +147,6 @@ def poisson_convolve_exact(P: PowerPoly, r: RadiusVector) -> PowerPoly:
     return PowerPoly(out, P.space)
 
 
-def _lattice_values(P: PowerPoly, grid: int, m: int) -> np.ndarray:
-    """Values of P on the m-fold lattice of grid-th roots of unity, C order."""
-    total = grid**m
-    d = P.space.dim
-    step = 2.0 * math.pi / grid
-    vals = np.empty((total, d), dtype=np.complex128)
-    chunk = max(1, 2_000_000 // max(len(P), 1))
-    for lo in range(0, total, chunk):
-        flat = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
-        theta = np.empty((flat.size, m), dtype=np.float64)
-        for j in range(m):
-            theta[:, j] = (flat // grid ** (m - 1 - j)) % grid
-        theta *= step
-        vals[lo : lo + flat.size] = power_values_at_angles(P, theta)
-    return vals
-
-
 def poisson_convolve_numeric(
     P: PowerPoly,
     r: RadiusVector,
@@ -196,7 +179,7 @@ def poisson_convolve_numeric(
     G = grid_per_dim
     d = P.space.dim
     axes = tuple(range(m))
-    values = _lattice_values(P, G, m).reshape((G,) * m + (d,))
+    values = np.concatenate(list(lattice_value_chunks(P, G))).reshape((G,) * m + (d,))
     spectrum = np.fft.fftn(values, axes=axes)
 
     # per-coordinate kernel on the lattice offsets, transformed once each

@@ -42,8 +42,11 @@ class SamplerConfig:
     scheme: str = IID_UNIFORM
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 1:
+        # exact types: bool is an int subclass
+        if type(self.samples) is not int or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.scheme not in VALID_SCHEMES:
             raise ValueError(f"scheme must be one of {VALID_SCHEMES}, got {self.scheme!r}")
 
@@ -56,14 +59,18 @@ def derive_seed(seed: int, row: int) -> int:
     return seed ^ row
 
 
+def kronecker_times(cfg: SamplerConfig) -> np.ndarray:
+    """The Kronecker scheme's flow times: cfg.samples uniform draws from [0, KRONECKER_SPAN)."""
+    return np.random.default_rng(cfg.seed).uniform(0.0, KRONECKER_SPAN, size=cfg.samples)
+
+
 def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     """(samples, m) array of angles; the sample points are exp(1j * angles)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    rng = np.random.default_rng(cfg.seed)
     if cfg.scheme == IID_UNIFORM:
-        return rng.uniform(0.0, 2.0 * math.pi, size=(cfg.samples, m))
-    t = rng.uniform(0.0, KRONECKER_SPAN, size=cfg.samples)
+        return np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * math.pi, size=(cfg.samples, m))
+    t = kronecker_times(cfg)
     logs = np.array([math.log(nth_prime(j)) for j in range(m)])
     return np.mod(-np.outer(t, logs), 2.0 * math.pi)
 

@@ -4,6 +4,9 @@ Coefficients are stored as separate real and imaginary float lists so a
 dump/load cycle reproduces every float bit-for-bit (json emits shortest
 round-trip decimals) and every index exactly.  Coefficient lists are
 sorted, so parse -> serialize -> parse is the identity on canonical form.
+Loading rejects what JSON can say but a polynomial cannot mean: booleans
+where numbers belong, NaN and Infinity tokens, and (through the
+polynomial constructors) numbers that overflow to infinity.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ def _space_to_dict(space: CoeffSpace) -> dict:
 def _space_from_dict(obj: Any) -> CoeffSpace:
     if not isinstance(obj, dict) or "dim" not in obj or "norm" not in obj:
         raise ValueError("space must be an object with 'dim' and 'norm'")
-    dim = obj["dim"]
-    if not isinstance(dim, int):
-        raise ValueError(f"space dim must be an integer, got {dim!r}")
-    return CoeffSpace(dim, obj["norm"])
+    return CoeffSpace(obj["dim"], obj["norm"])
 
 
 def _vector_fields(v: np.ndarray) -> dict:
@@ -40,6 +40,8 @@ def _vector_from_fields(entry: dict, dim: int) -> np.ndarray:
     im = entry.get("im")
     if not isinstance(re, list) or not isinstance(im, list) or len(re) != dim or len(im) != dim:
         raise ValueError(f"coefficient needs 're' and 'im' lists of length {dim}")
+    if not set(map(type, re + im)) <= {int, float}:  # exact types: json gives bool for true
+        raise ValueError(f"'re' and 'im' entries must be numbers, got {re!r} and {im!r}")
     return np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
 
 
@@ -57,7 +59,7 @@ def dirichlet_from_dict(obj: Any) -> DirichletPoly:
         if not isinstance(entry, dict) or "n" not in entry:
             raise ValueError("each coefficient needs an integer field 'n'")
         n = entry["n"]
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise ValueError(f"index must be an integer, got {n!r}")
         if n in out:
             raise ValueError(f"duplicate index {n}")
@@ -81,7 +83,7 @@ def power_from_dict(obj: Any) -> PowerPoly:
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise ValueError("each coefficient needs an exponent list 'alpha'")
         alpha_raw = entry["alpha"]
-        if not isinstance(alpha_raw, list) or not all(isinstance(e, int) for e in alpha_raw):
+        if not isinstance(alpha_raw, list) or not set(map(type, alpha_raw)) <= {int}:
             raise ValueError(f"'alpha' must be a list of integers, got {alpha_raw!r}")
         alpha = MultiIndex(alpha_raw)
         if alpha in out:
@@ -106,8 +108,12 @@ def loads_power(text: str) -> PowerPoly:
     return power_from_dict(_parse(text))
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"invalid JSON: non-finite number {token}")
+
+
 def _parse(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc

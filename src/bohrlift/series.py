@@ -8,8 +8,9 @@ is a bijection on coefficient maps and `bohr_transform` inverts it
 exactly: coefficient vectors are moved, never recomputed.
 
 Coefficient maps are sparse dicts; exact-zero vectors are dropped at
-construction so equal polynomials have equal maps.  Polynomials are
-immutable and safe to share across threads.
+construction so equal polynomials have equal maps, and non-finite
+coefficients are rejected there.  Polynomials are immutable and safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -30,26 +31,33 @@ def _infer_space(values) -> CoeffSpace:
     return SCALAR
 
 
-class DirichletPoly:
-    """Finite map n -> coefficient vector, representing sum_n a_n n^{-s}."""
+def _check_space(a, b) -> None:
+    if a.space != b.space:
+        raise ValueError(f"space mismatch: {a.space} vs {b.space}")
+
+
+class _SparsePoly:
+    """Finite map key -> coefficient vector in one space.
+
+    Subclasses validate and normalize keys in ``_key``, which runs on
+    every key before zero coefficients are dropped.
+    """
 
     __slots__ = ("_space", "_coeffs")
 
-    def __init__(self, coeffs: Mapping[int, object], space: CoeffSpace | None = None):
+    def __init__(self, coeffs: Mapping, space: CoeffSpace | None = None):
         items = dict(coeffs)
         if space is None:
             space = _infer_space(items.values())
         self._space = space
-        store: dict[int, np.ndarray] = {}
-        for n, v in items.items():
-            n = int(n)
-            if n < 1:
-                raise ValueError(f"Dirichlet indices start at 1, got {n}")
-            if n > MAX_INDEX:
-                raise ValueError(f"index {n} is beyond the 64-bit range")
+        store = {}
+        for key, v in items.items():
+            key = self._key(key)
             arr = as_coeff_array(v, space.dim)
             if arr.any():
-                store[n] = arr
+                store[key] = arr
+        if store and not np.isfinite(np.concatenate(list(store.values()))).all():
+            raise ValueError("coefficients must be finite")
         self._coeffs = store
 
     @property
@@ -57,90 +65,83 @@ class DirichletPoly:
         return self._space
 
     @property
-    def coeffs(self) -> dict[int, np.ndarray]:
+    def coeffs(self) -> dict:
         return dict(self._coeffs)
+
+    def indices(self) -> list:
+        return sorted(self._coeffs)
+
+    def items(self):
+        return self._coeffs.items()
+
+    def get(self, key, default=None):
+        return self._coeffs.get(key, default)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self._coeffs[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._coeffs
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self._space == other._space
+            and self._coeffs.keys() == other._coeffs.keys()
+            and all(np.array_equal(v, other._coeffs[k]) for k, v in self._coeffs.items())
+        )
+
+    def __add__(self, other):
+        _check_space(self, other)
+        out = {k: v.copy() for k, v in self._coeffs.items()}
+        for k, v in other.items():
+            out[k] = out[k] + v if k in out else v
+        return type(self)(out, self._space)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        return type(self)({k: v * scalar for k, v in self._coeffs.items()}, self._space)
+
+    __rmul__ = __mul__
+
+
+class DirichletPoly(_SparsePoly):
+    """Finite map n -> coefficient vector, representing sum_n a_n n^{-s}."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(n) -> int:
+        n = int(n)
+        if n < 1:
+            raise ValueError(f"Dirichlet indices start at 1, got {n}")
+        if n > MAX_INDEX:
+            raise ValueError(f"index {n} is beyond the 64-bit range")
+        return n
 
     @property
     def max_index(self) -> int:
         """Largest stored index N (0 for the zero polynomial)."""
         return max(self._coeffs, default=0)
 
-    def indices(self) -> list[int]:
-        return sorted(self._coeffs)
-
-    def items(self):
-        return self._coeffs.items()
-
-    def get(self, n: int, default=None):
-        return self._coeffs.get(n, default)
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        return self._coeffs[n]
-
-    def __contains__(self, n: int) -> bool:
-        return n in self._coeffs
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DirichletPoly):
-            return NotImplemented
-        return (
-            self._space == other._space
-            and self._coeffs.keys() == other._coeffs.keys()
-            and all(np.array_equal(v, other._coeffs[n]) for n, v in self._coeffs.items())
-        )
-
-    def __add__(self, other: "DirichletPoly") -> "DirichletPoly":
-        self._check_space(other)
-        out: dict[int, np.ndarray] = {n: v.copy() for n, v in self._coeffs.items()}
-        for n, v in other.items():
-            out[n] = out[n] + v if n in out else v
-        return DirichletPoly(out, self._space)
-
-    def __sub__(self, other: "DirichletPoly") -> "DirichletPoly":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "DirichletPoly":
-        return DirichletPoly({n: v * scalar for n, v in self._coeffs.items()}, self._space)
-
-    __rmul__ = __mul__
-
-    def _check_space(self, other) -> None:
-        if self._space != other.space:
-            raise ValueError(f"space mismatch: {self._space} vs {other.space}")
-
     def __repr__(self) -> str:
         return f"DirichletPoly({len(self)} terms, max_index={self.max_index}, space={self._space})"
 
 
-class PowerPoly:
+class PowerPoly(_SparsePoly):
     """Finite map multi-index -> coefficient vector, representing sum c_alpha z^alpha."""
 
-    __slots__ = ("_space", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[MultiIndex, object], space: CoeffSpace | None = None):
-        items = dict(coeffs)
-        if space is None:
-            space = _infer_space(items.values())
-        self._space = space
-        store: dict[MultiIndex, np.ndarray] = {}
-        for alpha, v in items.items():
-            if not isinstance(alpha, MultiIndex):
-                alpha = MultiIndex(alpha)
-            arr = as_coeff_array(v, space.dim)
-            if arr.any():
-                store[alpha] = arr
-        self._coeffs = store
-
-    @property
-    def space(self) -> CoeffSpace:
-        return self._space
-
-    @property
-    def coeffs(self) -> dict[MultiIndex, np.ndarray]:
-        return dict(self._coeffs)
+    @staticmethod
+    def _key(alpha) -> MultiIndex:
+        return alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
 
     @property
     def width(self) -> int:
@@ -155,49 +156,6 @@ class PowerPoly:
     @property
     def constant_term(self) -> np.ndarray:
         return self._coeffs.get(EMPTY_INDEX, as_coeff_array(np.zeros(self._space.dim)))
-
-    def indices(self) -> list[MultiIndex]:
-        return sorted(self._coeffs)
-
-    def items(self):
-        return self._coeffs.items()
-
-    def get(self, alpha: MultiIndex, default=None):
-        return self._coeffs.get(alpha, default)
-
-    def __getitem__(self, alpha: MultiIndex) -> np.ndarray:
-        return self._coeffs[alpha]
-
-    def __contains__(self, alpha: MultiIndex) -> bool:
-        return alpha in self._coeffs
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerPoly):
-            return NotImplemented
-        return (
-            self._space == other._space
-            and self._coeffs.keys() == other._coeffs.keys()
-            and all(np.array_equal(v, other._coeffs[a]) for a, v in self._coeffs.items())
-        )
-
-    def __add__(self, other: "PowerPoly") -> "PowerPoly":
-        if self._space != other.space:
-            raise ValueError(f"space mismatch: {self._space} vs {other.space}")
-        out: dict[MultiIndex, np.ndarray] = {a: v.copy() for a, v in self._coeffs.items()}
-        for a, v in other.items():
-            out[a] = out[a] + v if a in out else v
-        return PowerPoly(out, self._space)
-
-    def __sub__(self, other: "PowerPoly") -> "PowerPoly":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "PowerPoly":
-        return PowerPoly({a: v * scalar for a, v in self._coeffs.items()}, self._space)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"PowerPoly({len(self)} terms, width={self.width}, space={self._space})"
@@ -234,8 +192,7 @@ def partial_sum(D: DirichletPoly, N: int) -> DirichletPoly:
 
 def max_coeff_gap(A, B) -> float:
     """Largest coefficient-wise norm distance between two polynomials of one type."""
-    if A.space != B.space:
-        raise ValueError(f"space mismatch: {A.space} vs {B.space}")
+    _check_space(A, B)
     zero = np.zeros(A.space.dim, dtype=np.complex128)
     gap = 0.0
     for key in set(A.coeffs) | set(B.coeffs):
@@ -271,45 +228,54 @@ def exponent_matrix(P: PowerPoly, width: int | None = None) -> np.ndarray:
     return A
 
 
-def power_values_at_angles(P: PowerPoly, theta: np.ndarray) -> np.ndarray:
-    """Evaluate P at torus points omega = exp(i theta), theta of shape (S, m).
+def monomial_map(poly):
+    """Map from sample points to poly's (points, terms) monomial matrix.
 
-    Returns an (S, dim) array.  Work is chunked so the transient phase
-    matrix stays bounded regardless of the sample count.
+    Torus angles theta of shape (S, >= width) give exp(i theta . alpha)
+    for a PowerPoly; line times t of shape (T,) give n^{-it} for a
+    DirichletPoly.  Columns follow coeff_matrix(poly) order, so any
+    coefficient rows in that order apply to the matrix by one matmul.
     """
+    if isinstance(poly, PowerPoly):
+        m = poly.width
+        A = exponent_matrix(poly).T.astype(np.float64)  # (m, terms)
+        return lambda theta: np.exp(1j * (theta[:, :m] @ A))
+    logs = np.log(np.array(poly.indices(), dtype=np.float64))
+    return lambda t: np.exp(-1j * np.outer(t, logs))
+
+
+def evaluate(poly, points: np.ndarray) -> np.ndarray:
+    """(S, dim) values of poly at S points, in the form `monomial_map` takes.
+
+    Work is chunked so the transient monomial matrix stays bounded
+    regardless of the point count; the chunk boundaries depend only on
+    the point and term counts, so seeded runs reproduce exactly.
+    """
+    S = points.shape[0]
+    out = np.zeros((S, poly.space.dim), dtype=np.complex128)
+    if not len(poly):
+        return out
+    monomials = monomial_map(poly)
+    C = coeff_matrix(poly)
+    chunk = max(1, _CHUNK_ENTRIES // len(poly))
+    for lo in range(0, S, chunk):
+        out[lo : lo + chunk] = monomials(points[lo : lo + chunk]) @ C
+    return out
+
+
+def power_values_at_angles(P: PowerPoly, theta: np.ndarray) -> np.ndarray:
+    """Evaluate P at torus points omega = exp(i theta), theta of shape (S, m); returns (S, dim)."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 2:
         raise ValueError("theta must be (samples, coords)")
-    m = P.width
-    if theta.shape[1] < m:
-        raise ValueError(f"need at least {m} torus coordinates, got {theta.shape[1]}")
-    S = theta.shape[0]
-    out = np.zeros((S, P.space.dim), dtype=np.complex128)
-    if not len(P):
-        return out
-    A = exponent_matrix(P).T.astype(np.float64)  # (m, terms)
-    C = coeff_matrix(P)
-    chunk = max(1, _CHUNK_ENTRIES // max(len(P), 1))
-    for lo in range(0, S, chunk):
-        hi = min(S, lo + chunk)
-        phases = theta[lo:hi, :m] @ A
-        out[lo:hi] = np.exp(1j * phases) @ C
-    return out
+    if theta.shape[1] < P.width:
+        raise ValueError(f"need at least {P.width} torus coordinates, got {theta.shape[1]}")
+    return evaluate(P, theta)
 
 
 def dirichlet_line_values(D: DirichletPoly, t: np.ndarray) -> np.ndarray:
     """Evaluate D on the vertical line, D(it) = sum_n a_n n^{-it}, t of shape (T,)."""
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    out = np.zeros((t.shape[0], D.space.dim), dtype=np.complex128)
-    if not len(D):
-        return out
-    logs = np.log(np.array(D.indices(), dtype=np.float64))
-    C = coeff_matrix(D)
-    chunk = max(1, _CHUNK_ENTRIES // max(len(D), 1))
-    for lo in range(0, t.shape[0], chunk):
-        hi = min(t.shape[0], lo + chunk)
-        out[lo:hi] = np.exp(-1j * np.outer(t[lo:hi], logs)) @ C
-    return out
+    return evaluate(D, np.asarray(t, dtype=np.float64).reshape(-1))
 
 
 def power_eval(P: PowerPoly, z: Iterable[complex]) -> np.ndarray:

@@ -20,7 +20,7 @@ class CoeffSpace:
     norm: str = NORM_L2
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if type(self.dim) is not int or self.dim < 1:  # exact type: bool is an int subclass
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if self.norm not in VALID_NORMS:
             raise ValueError(f"norm must be one of {VALID_NORMS}, got {self.norm!r}")

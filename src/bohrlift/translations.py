@@ -20,14 +20,16 @@ import numpy as np
 from .errors import EstimatorInconsistencyError
 from .norms import (
     EXACT_PARSEVAL,
-    TORUS_MC,
     NormEstimate,
+    check_p,
+    mc_estimate,
     norm_h2_exact,
     norm_hp_mc,
+    sample_target,
 )
-from .primes import factorize
-from .sampling import KRONECKER_QMC, KRONECKER_SPAN, SamplerConfig, pairwise_mean, pairwise_sum, torus_angles
-from .series import DirichletPoly, bohr_lift, coeff_matrix, exponent_matrix
+from .primes import factorize, index_of
+from .sampling import SamplerConfig
+from .series import DirichletPoly, bohr_lift, coeff_matrix, monomial_map
 from .spaces import row_norms, vector_norm
 
 #: Default geometric grid 1, 1/2, ..., 2^-20 for the epsilon profile.
@@ -111,39 +113,6 @@ def twist(D: DirichletPoly, theta: TwistPoint) -> DirichletPoly:
     return DirichletPoly(out, D.space)
 
 
-def _monomial_values(D: DirichletPoly, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monomial value matrix E (samples, terms), coefficients C, index array.
-
-    Columns follow sorted index order, so scaling C row-wise evaluates
-    any coefficient reweighting of D on one shared sample set.
-    """
-    ns = np.array(D.indices(), dtype=np.float64)
-    C = coeff_matrix(D)
-    if cfg.scheme == KRONECKER_QMC:
-        rng = np.random.default_rng(cfg.seed)
-        t = rng.uniform(0.0, KRONECKER_SPAN, size=cfg.samples)
-        E = np.exp(-1j * np.outer(t, np.log(ns)))
-    else:
-        P = bohr_lift(D)
-        theta = torus_angles(cfg, P.width)
-        A = exponent_matrix(P).T.astype(np.float64)
-        E = np.exp(1j * (theta @ A))
-    return E, C, ns
-
-
-def _mc_from_values(values: np.ndarray, space, p: float, cfg: SamplerConfig) -> NormEstimate:
-    x = row_norms(values, space)
-    xp = x**p
-    mean = pairwise_mean(xp)
-    value = mean ** (1.0 / p)
-    if cfg.samples > 1 and value > 0.0:
-        var = pairwise_sum((xp - mean) ** 2) / (cfg.samples - 1)
-        se = math.sqrt(var / cfg.samples) * value ** (1.0 - p) / p
-    else:
-        se = 0.0
-    return NormEstimate(value, TORUS_MC, se, cfg.samples, cfg.seed)
-
-
 def eps_norm_profile(
     D: DirichletPoly,
     p: float,
@@ -166,8 +135,7 @@ def eps_norm_profile(
     for e in eps_list:
         if not (e > 0 and math.isfinite(e)):
             raise ValueError(f"eps grid entries must be positive, got {e!r}")
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    check_p(p)
 
     if p == 2.0 and D.space.euclidean:
         rows = []
@@ -179,12 +147,16 @@ def eps_norm_profile(
 
     if cfg is None:
         cfg = SamplerConfig()
-    E, C, ns = _monomial_values(D, cfg)
+    target, points = sample_target(D, cfg)
+    E = monomial_map(target)(points)
+    C = coeff_matrix(target)
+    keys = target.indices()
+    ns = np.array(keys if target is D else [index_of(a) for a in keys], dtype=np.float64)
     rows = []
     for e in eps_list:
         weights = ns ** (-e)
         values = E @ (C * weights[:, None])
-        rows.append((e, _mc_from_values(values, D.space, p, cfg)))
+        rows.append((e, mc_estimate(row_norms(values, D.space), p, cfg)))
     return rows
 
 

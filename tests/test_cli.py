@@ -85,6 +85,13 @@ def test_malformed_json_exits_2(tmp_path):
     assert run_spec("lift", None, input_path=str(bad)) == 2
 
 
+def test_meaningless_json_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    for coeff in ('"n": true, "re": [1.0]', '"n": 1, "re": [NaN]'):
+        bad.write_text(f'{{"space": {{"dim": 1, "norm": "l2"}}, "coeffs": [{{{coeff}, "im": [0.0]}}]}}')
+        assert run_spec("lift", None, input_path=str(bad)) == 2
+
+
 def test_unknown_subcommand_exits_2():
     assert run(ExperimentSpec("frobnicate", {}, None, "json")) == 2
 

@@ -52,6 +52,30 @@ def test_malformed_input_rejected():
         loads_power(json.dumps({"space": {"dim": 1, "norm": "l2"}, "coeffs": [{"alpha": [-1], "re": [1], "im": [0]}]}))
 
 
+def _doc(key, re="[1.0]", im="[0.0]", dim="1"):
+    return f'{{"space": {{"dim": {dim}, "norm": "l2"}}, "coeffs": [{{{key}, "re": {re}, "im": {im}}}]}}'
+
+
+@pytest.mark.parametrize(
+    "loader, bad",
+    [
+        (loads_dirichlet, dict(key='"n": true')),
+        (loads_dirichlet, dict(dim="true")),
+        (loads_power, dict(key='"alpha": [false, true]')),
+        (loads_dirichlet, dict(re="[true]")),
+        (loads_dirichlet, dict(im='["0.5"]')),
+        (loads_dirichlet, dict(re="[NaN]")),
+        (loads_power, dict(im="[-Infinity]")),
+        (loads_dirichlet, dict(re="[1e999]")),  # parses to inf
+    ],
+)
+def test_json_boundary_rejects_meaningless_values(loader, bad):
+    key = '"n": 2' if loader is loads_dirichlet else '"alpha": [1]'
+    assert len(loader(_doc(key))) == 1  # the document is valid without the bad field
+    with pytest.raises(ValueError):
+        loader(_doc(**{"key": key, **bad}))
+
+
 def test_duplicate_keys_rejected():
     doc = {
         "space": {"dim": 1, "norm": "l2"},

@@ -18,6 +18,7 @@ from bohrlift import (
     power_values_at_angles,
     restrict,
 )
+from bohrlift import series
 from conftest import random_dirichlet
 
 
@@ -46,6 +47,20 @@ def test_vector_coefficients():
 def test_space_mismatch_rejected():
     with pytest.raises(ValueError):
         DirichletPoly({1: [1.0, 2.0], 2: [1.0, 2.0, 3.0]})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DirichletPoly({1: float("nan")}),
+        lambda: DirichletPoly({2: [1.0, complex(0.0, float("inf"))]}),
+        lambda: PowerPoly({(1,): float("inf")}),
+        lambda: PowerPoly({(): [0.0, float("nan")]}),
+    ],
+)
+def test_non_finite_coefficients_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_bad_index_rejected():
@@ -128,10 +143,29 @@ def test_angle_evaluation_consistency(rng):
     assert np.allclose(via_torus, via_line, atol=1e-12)
 
 
+CHUNK_TERMS = 40
+
+
+@pytest.mark.parametrize("entries", [1, 97, 64 * CHUNK_TERMS])
+def test_evaluation_independent_of_chunk_size(monkeypatch, rng, entries):
+    # chunk boundaries move BLAS blocking, so agreement is to rounding, not to the bit
+    idx = rng.choice(np.arange(1, 500), size=CHUNK_TERMS, replace=False)
+    D = DirichletPoly({int(n): rng.standard_normal(2) + 1j * rng.standard_normal(2) for n in idx})
+    P = bohr_lift(D)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(300, P.width))
+    t = np.linspace(-50.0, 50.0, 300)
+    reference = power_values_at_angles(P, theta), dirichlet_line_values(D, t)
+    monkeypatch.setattr(series, "_CHUNK_ENTRIES", entries)
+    chunked = power_values_at_angles(P, theta), dirichlet_line_values(D, t)
+    for ref, got in zip(reference, chunked):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_empty_polynomials():
     E = DirichletPoly({})
     assert E.max_index == 0
     assert bohr_lift(E) == PowerPoly({}, E.space)
+    assert E != PowerPoly({}, E.space)  # equality needs the same polynomial type
     assert dirichlet_line_values(E, np.array([1.0])).shape == (1, 1)
 
 

@@ -19,6 +19,8 @@ def test_space_validation():
         CoeffSpace(0)
     with pytest.raises(ValueError):
         CoeffSpace(2, "l7")
+    with pytest.raises(ValueError):
+        CoeffSpace(True)  # a bool is not a dimension
 
 
 def test_vector_norms():
@@ -48,6 +50,9 @@ def test_sampler_config_validation():
         SamplerConfig(0, 0)
     with pytest.raises(ValueError):
         SamplerConfig(10, 0, "sobol")
+    for samples, seed in ((True, 0), (10, True), (10, 1.5), (10, -1)):
+        with pytest.raises(ValueError):
+            SamplerConfig(samples, seed)
 
 
 def test_torus_angles_shapes_and_determinism():

@@ -15,10 +15,12 @@ from bohrlift import (
     hplus_norm,
     max_coeff_gap,
     norm_h2_exact,
+    norm_hp_mc,
     translate,
     twist,
 )
 from bohrlift.errors import EstimatorInconsistencyError
+from bohrlift.translations import EPS_CROSS_CHECK
 from conftest import random_dirichlet
 
 TWO_TERM = DirichletPoly({1: 1.0, 2: 1.0})
@@ -120,6 +122,23 @@ def test_hplus_equals_h2_on_polynomials(rng):
 def test_hplus_mc_path():
     est = hplus_norm(TWO_TERM, 4.0, SamplerConfig(samples=20000, seed=9))
     assert est.value == pytest.approx(6.0**0.25, abs=5 * max(est.std_error, 1e-4))
+
+
+# sorted-n order (1, 2, 3, 4, 6) differs from sorted multi-index order
+MIXED = DirichletPoly({1: 1.0, 2: 1.0, 3: 0.3, 4: 2.0, 6: -1.5})
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+@pytest.mark.parametrize("p", [1.0, 4.0])
+def test_profile_small_eps_matches_plain_estimate(scheme, p):
+    # each coefficient row must meet the monomial of its own index
+    cfg = SamplerConfig(20000, 0, scheme)
+    eps = EPS_CROSS_CHECK
+    probe = eps_norm_profile(MIXED, p, [eps], cfg)[0][1]
+    plain = norm_hp_mc(MIXED, p, cfg)
+    bound = math.fsum(abs(v[0]) * (1.0 - n ** (-eps)) for n, v in MIXED.items()) + 1e-9
+    assert abs(probe.value - plain.value) <= bound
+    assert hplus_norm(MIXED, p, cfg).value == plain.value
 
 
 def test_vector_valued_twist_and_translate(rng):
