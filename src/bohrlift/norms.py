@@ -27,7 +27,15 @@ from .sampling import (
     pairwise_sum,
     torus_angles,
 )
-from .series import DirichletPoly, PowerPoly, bohr_lift, dirichlet_line_values, evaluate
+from .series import (
+    DirichletPoly,
+    PowerPoly,
+    bohr_lift,
+    coeff_matrix,
+    dirichlet_line_values,
+    evaluate,
+    monomial_map,
+)
 from .spaces import row_norms, vector_norm
 
 EXACT_PARSEVAL = "exact_parseval"
@@ -147,14 +155,15 @@ def lattice_value_chunks(P: PowerPoly, grid: int):
     m = P.width
     total = grid**m
     step = 2.0 * math.pi / grid
-    chunk = max(1, 2_000_000 // max(len(P), 1))
+    chunk, monomials = monomial_map(P)  # one plan for the whole lattice
+    C = coeff_matrix(P)
     for lo in range(0, total, chunk):
         flat = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
         theta = np.empty((flat.size, m), dtype=np.float64)
         for j in range(m):
             theta[:, j] = (flat // grid ** (m - 1 - j)) % grid
         theta *= step
-        yield evaluate(P, theta)
+        yield monomials(theta) @ C
 
 
 def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP) -> NormEstimate:

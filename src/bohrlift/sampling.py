@@ -75,27 +75,53 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     return np.mod(-np.outer(t, logs), 2.0 * math.pi)
 
 
+#: Largest leaf of the pairwise summation tree.
+_LEAF = 64
+
+
+def _leaf_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of x[lo:hi] for every leaf, each added left to right from 0.0."""
+    # longest first, so the leaves that have a term k are a prefix
+    order = np.argsort(lo - hi, kind="stable")
+    first = lo[order]
+    longer = np.searchsorted((lo - hi)[order], -np.arange(_LEAF))  # leaves longer than k
+    running = np.zeros(lo.size)
+    for k in range(np.count_nonzero(longer)):
+        running[: longer[k]] += x[first[: longer[k]] + k]
+    sums = np.empty(lo.size)
+    sums[order] = running
+    return sums
+
+
 def pairwise_sum(x: np.ndarray) -> float:
     """Sum over a fixed binary tree on the index, independent of scheduling.
 
     The tree splits at the midpoint and adds leaves of at most 64 terms
     left to right, so the floating-point result is a pure function of
-    the input vector.
+    the input vector.  The sums of one depth are computed together, from
+    the deepest up, which keeps every addition of that definition.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-
-    def rec(lo: int, hi: int) -> float:
-        if hi - lo <= 64:
-            total = 0.0
-            for v in x[lo:hi]:
-                total += float(v)
-            return total
-        mid = (lo + hi) // 2
-        return rec(lo, mid) + rec(mid, hi)
-
     if x.size == 0:
         return 0.0
-    return rec(0, x.size)
+    lo, hi = np.array([0]), np.array([x.size])
+    tree = []  # per depth: node bounds in index order, and which nodes split
+    while True:
+        split = hi - lo > _LEAF
+        tree.append((lo, hi, split))
+        if not split.any():
+            break
+        mid = (lo[split] + hi[split]) // 2
+        lo = np.stack([lo[split], mid], axis=1).reshape(-1)
+        hi = np.stack([mid, hi[split]], axis=1).reshape(-1)
+    below = None
+    for lo, hi, split in reversed(tree):
+        sums = np.empty(lo.size)
+        sums[~split] = _leaf_sums(x, lo[~split], hi[~split])
+        if below is not None:
+            sums[split] = below[0::2] + below[1::2]
+        below = sums
+    return float(below[0])
 
 
 def pairwise_mean(x: np.ndarray) -> float:

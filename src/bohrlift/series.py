@@ -15,12 +15,15 @@ to share across threads.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from itertools import groupby
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .multiindex import EMPTY_INDEX, MultiIndex
-from .primes import MAX_INDEX, factorize, index_of
+from .primes import MAX_INDEX, factorize, index_of, primes_up_to
 from .spaces import CoeffSpace, SCALAR, as_coeff_array, vector_norm
 
 
@@ -204,7 +207,13 @@ def max_coeff_gap(A, B) -> float:
 
 # -- dense views used by the estimators ---------------------------------------
 
-_CHUNK_ENTRIES = 4_000_000  # cap on transient (samples x terms) matrix size
+#: Cap on the (terms x points) monomial matrix of one chunk: 2**16 complex
+#: entries, 1 MiB, small enough to stay cache-resident.
+_CHUNK_ENTRIES = 65_536
+
+#: Line evaluation factors an index by trial division with the primes up to
+#: this bound; whatever cofactor is left serves as a base of its own.
+_TRIAL_PRIMES = 1 << 16
 
 
 def coeff_matrix(poly) -> np.ndarray:
@@ -215,52 +224,137 @@ def coeff_matrix(poly) -> np.ndarray:
     return np.array([poly[k] for k in keys], dtype=np.complex128)
 
 
-def exponent_matrix(P: PowerPoly, width: int | None = None) -> np.ndarray:
-    """(terms, width) integer matrix of exponents, rows in sorted index order."""
-    m = P.width if width is None else width
-    if m < P.width:
-        raise ValueError(f"width {m} below the polynomial's width {P.width}")
-    keys = P.indices()
-    A = np.zeros((len(keys), m), dtype=np.int64)
-    for i, alpha in enumerate(keys):
-        for pos, e in alpha.pairs:
-            A[i, pos] = e
-    return A
+def _integer_factors(n: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
+    """(base, exponent) pairs with increasing bases whose product of powers is n.
+
+    The bases are the primes of `primes` that divide n, then the
+    cofactor left after them, if any (prime unless `primes` ran out
+    below its square root, and a valid base either way).
+    """
+    pairs = []
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
 
 
 def monomial_map(poly):
-    """Map from sample points to poly's (points, terms) monomial matrix.
+    """Multiplicative plan for poly's monomials: (points per chunk, map from points to monomials).
 
-    Torus angles theta of shape (S, >= width) give exp(i theta . alpha)
-    for a PowerPoly; line times t of shape (T,) give n^{-it} for a
-    DirichletPoly.  Columns follow coeff_matrix(poly) order, so any
-    coefficient rows in that order apply to the matrix by one matmul.
+    A monomial is a product of factor powers: z_j^e with z_j =
+    exp(i theta_j) at torus angles theta of shape (S, >= width) for a
+    PowerPoly, (b^e)^{-it} over the factors b^e of n (`_integer_factors`)
+    at line times t of shape (S,) for a DirichletPoly.  A term whose
+    prefix, the term without its last factor power, is a term too is
+    that prefix times the power when the power's value serves more than
+    once; any other term is a base value of its own.  A chunk of points
+    costs one cos and one sin per base value, never more than one per
+    term, and one complex multiply per term, whatever the degrees.  The
+    map returns the (S, terms) matrix of monomials, columns in
+    coeff_matrix(poly) order, in a work buffer that its next call on as
+    many points overwrites; S must not exceed the chunk size, which
+    keeps the (terms + 1, S) work matrix within _CHUNK_ENTRIES.
     """
-    if isinstance(poly, PowerPoly):
-        m = poly.width
-        A = exponent_matrix(poly).T.astype(np.float64)  # (m, terms)
-        return lambda theta: np.exp(1j * (theta[:, :m] @ A))
-    logs = np.log(np.array(poly.indices(), dtype=np.float64))
-    return lambda t: np.exp(-1j * np.outer(t, logs))
+    power = isinstance(poly, PowerPoly)
+    if power:
+        support = [alpha.pairs for alpha in poly.indices()]
+    else:
+        primes = primes_up_to(min(math.isqrt(poly.max_index), _TRIAL_PRIMES))
+        support = [_integer_factors(n, primes) for n in poly.indices()]
+    members = set(support)
+    chained = [alpha for alpha in support if len(alpha) > 1 and alpha[:-1] in members]
+    # a power that is itself a term is a base value already
+    uses = Counter(alpha[-1:] for alpha in chained) + Counter(alpha for alpha in support if len(alpha) == 1)
+    split = {alpha: ((), alpha) for alpha in support if alpha}  # term -> (parent, base), their product
+    for alpha in chained:
+        if uses[alpha[-1:]] > 1:
+            split[alpha] = alpha[:-1], alpha[-1:]
+    depth = {(): 0}
+    for alpha in sorted(split, key=len):  # a parent is a shorter prefix
+        depth[alpha] = depth[split[alpha][0]] + 1
+    order = sorted(depth, key=lambda alpha: (depth[alpha], alpha))
+    row = {alpha: i for i, alpha in enumerate(order)}
+    bases = sorted({base for _, base in split.values()})
+    col = {base: k for k, base in enumerate(bases)}
+    levels = []  # per depth: its rows lo:hi, their parents' rows, their base rows
+    lo = 1
+    for _, level in groupby(order[1:], key=depth.get):
+        level = list(level)
+        ups = np.array([row[split[alpha][0]] for alpha in level], dtype=np.intp)
+        cols = np.array([col[split[alpha][1]] for alpha in level], dtype=np.intp)
+        levels.append((lo, lo + len(level), ups, cols))
+        lo += len(level)
+    columns = np.array([row[alpha] for alpha in support], dtype=np.intp)
+    if power:
+        active = sorted({pos for base in bases for pos, _ in base})
+        at = {pos: i for i, pos in enumerate(active)}
+        A = np.zeros((len(bases), len(active)))  # base phases are A theta
+        for k, base in enumerate(bases):
+            for pos, e in base:
+                A[k, at[pos]] = e
+        phases = lambda theta, out: np.matmul(A, theta[:, active].T, out=out)
+    else:
+        neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
+        phases = lambda t, out: np.multiply.outer(neg_logs, t, out=out)
+    widest = max((hi - lo for lo, hi, _, _ in levels), default=0)
+    buffers = {}  # point count -> work arrays, reused so that no chunk pays for fresh pages
+
+    def monomials(points: np.ndarray) -> np.ndarray:
+        S = points.shape[0]
+        if S not in buffers:
+            rows, terms, k = len(order), len(columns), len(bases)
+            shapes = (rows, S), (k, S), (widest, S), (widest, S), (terms, S), (S, terms)
+            buffers[S] = [np.empty((k, S))] + [np.empty(s, dtype=np.complex128) for s in shapes]
+        phase, M, base, parents, factors, picked, E = buffers[S]
+        phases(points, phase)
+        # cos and sin, not a complex exp: on x86 the complex exp loop runs
+        # tenfold slower after a BLAS call that leaves the upper halves of
+        # the vector registers dirty, and the real cos and sin loops do not
+        np.cos(phase, out=base.real)
+        np.sin(phase, out=base.imag)
+        M[0] = 1.0
+        # mode="clip" lets take write straight into out; the rows are valid by construction
+        for lo, hi, ups, cols in levels:
+            np.take(M, ups, axis=0, out=parents[: hi - lo], mode="clip")
+            np.take(base, cols, axis=0, out=factors[: hi - lo], mode="clip")
+            np.multiply(parents[: hi - lo], factors[: hi - lo], out=M[lo:hi])
+        # C order, so the coefficient matmul runs as it does on direct monomials
+        np.take(M, columns, axis=0, out=picked, mode="clip")
+        np.copyto(E, picked.T)
+        return E
+
+    return max(1, _CHUNK_ENTRIES // len(order)), monomials
 
 
-def evaluate(poly, points: np.ndarray) -> np.ndarray:
-    """(S, dim) values of poly at S points, in the form `monomial_map` takes.
+def evaluate(poly, points: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Values of poly at S points, in the form `monomial_map` takes.
 
-    Work is chunked so the transient monomial matrix stays bounded
-    regardless of the point count; the chunk boundaries depend only on
-    the point and term counts, so seeded runs reproduce exactly.
+    Returns (S, dim).  With coeffs, a (k, terms, dim) stack of k
+    coefficient matrices in coeff_matrix(poly) order, returns the
+    (k, S, dim) values of every polynomial in the stack; each chunk's
+    monomials are built once for all of them.  Work is chunked so the
+    transient monomial matrix stays bounded regardless of the point
+    count; the chunk boundaries depend only on the point count and the
+    term count, so seeded runs reproduce exactly.
     """
+    C = coeff_matrix(poly)[None] if coeffs is None else coeffs
     S = points.shape[0]
-    out = np.zeros((S, poly.space.dim), dtype=np.complex128)
-    if not len(poly):
-        return out
-    monomials = monomial_map(poly)
-    C = coeff_matrix(poly)
-    chunk = max(1, _CHUNK_ENTRIES // len(poly))
-    for lo in range(0, S, chunk):
-        out[lo : lo + chunk] = monomials(points[lo : lo + chunk]) @ C
-    return out
+    out = np.zeros((C.shape[0], S, C.shape[2]), dtype=np.complex128)
+    if len(poly):
+        chunk, monomials = monomial_map(poly)
+        for lo in range(0, S, chunk):
+            E = monomials(points[lo : lo + chunk])
+            for values, c in zip(out, C):
+                values[lo : lo + chunk] = E @ c
+    return out[0] if coeffs is None else out
 
 
 def power_values_at_angles(P: PowerPoly, theta: np.ndarray) -> np.ndarray:

@@ -92,6 +92,14 @@ def test_exact_vs_numeric():
     assert max_coeff_gap(E, N) < 1e-9
 
 
+def test_numeric_coefficients_own_their_memory():
+    # a view into the FFT spectrum would keep the whole G^m grid alive
+    P = bohr_lift(DirichletPoly({1: 1.0, 2: 0.5, 3: -0.25, 6: 1.5, 8: 2.0}))
+    N = poisson_convolve_numeric(P, RadiusVector([0.5, 0.25]), 64)
+    assert len(N) == len(P)
+    assert all(v.base is None and v.flags.owndata for _, v in N.items())
+
+
 def test_exact_vs_numeric_width_three_vector():
     D = DirichletPoly({1: [1.0, 0.5], 2: [0.0, 1.0], 3: [2.0, 0.0], 5: [1.0, -1.0], 30: [0.5, 0.5]})
     P = bohr_lift(D)

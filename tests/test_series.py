@@ -1,5 +1,7 @@
 """Polynomial containers, the lift and its inverse, truncation and restriction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,16 @@ from bohrlift import (
     bohr_lift,
     bohr_transform,
     dirichlet_line_values,
+    gallery,
     max_coeff_gap,
     partial_sum,
     power_eval,
     power_values_at_angles,
     restrict,
+    vertical_sup,
 )
 from bohrlift import series
+from bohrlift.primes import sieve_limit
 from conftest import random_dirichlet
 
 
@@ -155,10 +160,117 @@ def test_evaluation_independent_of_chunk_size(monkeypatch, rng, entries):
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(300, P.width))
     t = np.linspace(-50.0, 50.0, 300)
     reference = power_values_at_angles(P, theta), dirichlet_line_values(D, t)
-    monkeypatch.setattr(series, "_CHUNK_ENTRIES", entries)
-    chunked = power_values_at_angles(P, theta), dirichlet_line_values(D, t)
-    for ref, got in zip(reference, chunked):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    rows = len({(), *(alpha.pairs for alpha in P.indices())})  # one per term, and the constant 1
+    plan = series.monomial_map
+    sizes = []
+
+    def recording_plan(poly):
+        chunk, monomials = plan(poly)
+
+        def recorded(points):
+            sizes.append(points.shape[0])
+            return monomials(points)
+
+        return chunk, recorded
+
+    monkeypatch.setattr(series, "monomial_map", recording_plan)
+    # a cap of k * rows entries gives chunks of exactly k points
+    for cap in (entries, entries * rows, entries * rows - 1):
+        monkeypatch.setattr(series, "_CHUNK_ENTRIES", cap)
+        sizes.clear()
+        chunked = power_values_at_angles(P, theta), dirichlet_line_values(D, t)
+        chunk = max(1, cap // rows)
+        assert plan(P)[0] == plan(D)[0] == chunk
+        assert sizes == 2 * [min(chunk, 300 - lo) for lo in range(0, 300, chunk)]
+        for ref, got in zip(reference, chunked):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def direct_values(poly, points):
+    """Reference evaluation: one exp per point per term, then the coefficient matmul."""
+    C = series.coeff_matrix(poly)
+    if isinstance(poly, PowerPoly):
+        A = np.zeros((poly.width, len(poly)))
+        for i, alpha in enumerate(poly.indices()):
+            for pos, e in alpha.pairs:
+                A[pos, i] = e
+        return np.exp(1j * (points[:, : poly.width] @ A)) @ C
+    logs = np.log(np.array(poly.indices(), dtype=np.float64))
+    return np.exp(-1j * np.outer(points, logs)) @ C
+
+
+def relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("R, tol", [(1e3, 1e-13), (4.1e5, 1e-10)])
+def test_multiplicative_kernel_on_dense_line(R, tol):
+    # n^{-it} as a product of prime values; at large |t| the reference's own
+    # phase t log n carries rounding of about 5e-10, so the tolerance widens
+    D = gallery("zeta_shift", 4096)
+    t = np.linspace(-R, R, 257)
+    assert relative_gap(dirichlet_line_values(D, t), direct_values(D, t)) <= tol
+
+
+def test_multiplicative_kernel_on_sparse_wide_lift(rng):
+    # 669 coordinates (4999 is the 669th prime), of which only 6 are active
+    D = DirichletPoly({1: 0.5, 6: 1.0, 2 * 2939: -1.0j, 3 * 3 * 1237: 2.0, 4999: 0.25, 2939 * 7: 1.5})
+    P = bohr_lift(D)
+    # no term's prefix is a term, so each term is a base value of its own
+    assert P.width == 669 and series.monomial_map(P)[0] == series._CHUNK_ENTRIES // 6
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(500, P.width + 3))
+    assert relative_gap(power_values_at_angles(P, theta), direct_values(P, theta)) <= 1e-13
+    # on the line the reference's phases t log n reach 1e4, one ulp of which is 1.8e-12
+    t = rng.uniform(-1e3, 1e3, size=500)
+    assert relative_gap(dirichlet_line_values(D, t), direct_values(D, t)) <= 1e-11
+
+
+@pytest.mark.parametrize("space", [CoeffSpace(1), CoeffSpace(3, "linf")])
+def test_multiplicative_kernel_on_powers(rng, space):
+    exponents = {tuple(int(e) for e in rng.integers(0, 4, size=5)) for _ in range(40)}
+    P = PowerPoly(
+        {MultiIndex(a): rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim) for a in exponents},
+        space,
+    )
+    assert P.width == 5 and P.degree > 10
+    theta = rng.uniform(-np.pi, 3.0 * np.pi, size=(2000, 5))
+    got = power_values_at_angles(P, theta)
+    assert got.shape == (2000, space.dim)
+    assert relative_gap(got, direct_values(P, theta)) <= 1e-13
+
+
+def test_multiplicative_kernel_on_high_degree(rng):
+    # rows and work follow the number of factor powers, not the degree: a
+    # chain down the degree would need a million rows here
+    P = PowerPoly({MultiIndex([10**6]): 1.0, MultiIndex([3, 0, 10**5]): 2.0 - 1.0j, MultiIndex([0, 7, 999_983]): 0.5})
+    assert P.degree == 10**6
+    assert series.monomial_map(P)[0] == series._CHUNK_ENTRIES // 4
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(20_000, 3))
+    # phases reach 6.3e6, one ulp of which is 9.3e-10, in the reference as here
+    assert relative_gap(power_values_at_angles(P, theta), direct_values(P, theta)) <= 1e-8
+
+
+def test_line_keeps_indices_with_huge_prime_factors(rng):
+    # line values need a multiplicative chain, not prime positions: factors
+    # beyond the trial primes stay whole, and the sieve does not grow for them
+    before = sieve_limit()
+    assert vertical_sup(DirichletPoly({1: 1.0, 2**61 - 1: 1.0}), 10.0, 101).value == 2.0
+    D = DirichletPoly({1: 1.0, 6: 0.5, 3 * (2**61 - 1): -1.0j, 65537 * 65539: 2.0, 2**24 - 3: 0.25})
+    t = rng.uniform(-100.0, 100.0, size=300)
+    assert relative_gap(dirichlet_line_values(D, t), direct_values(D, t)) <= 1e-12
+    assert sieve_limit() <= max(before, 2 * series._TRIAL_PRIMES)
+
+
+def test_multiplicative_kernel_exact_at_zero(rng):
+    # every monomial is exactly 1 at t = 0, so the value is the coefficient sum,
+    # computed by the same matmul as on direct monomials
+    D = gallery("zeta_shift", 1000)
+    t = np.linspace(-5e4, 5e4, 101)
+    assert np.array_equal(dirichlet_line_values(D, t)[50], direct_values(D, t)[50])
+    assert dirichlet_line_values(D, t)[50, 0] == pytest.approx(math.fsum(v[0].real for _, v in D.items()), rel=1e-14)
+    P = bohr_lift(random_dirichlet(rng, max_index=3000, max_terms=30, dim=2))
+    theta = np.zeros((7, P.width))
+    assert np.array_equal(power_values_at_angles(P, theta), direct_values(P, theta))
 
 
 def test_empty_polynomials():

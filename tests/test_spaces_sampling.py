@@ -92,3 +92,29 @@ def test_pairwise_sum_deterministic_and_exact_small():
     assert pairwise_sum(np.array([])) == 0.0
     x = np.arange(1, 1000, dtype=np.float64)
     assert pairwise_sum(x) == float(999 * 1000 // 2)
+
+
+def recursive_pairwise_sum(x):
+    """Reference definition: midpoint splits, leaves of at most 64 terms added left to right."""
+
+    def rec(lo, hi):
+        if hi - lo <= 64:
+            total = 0.0
+            for v in x[lo:hi]:
+                total += float(v)
+            return total
+        mid = (lo + hi) // 2
+        return rec(lo, mid) + rec(mid, hi)
+
+    return rec(0, len(x)) if len(x) else 0.0
+
+
+def test_pairwise_sum_matches_recursive_definition_bit_for_bit():
+    rng = np.random.default_rng(5)
+    lengths = list(range(0, 200)) + [255, 256, 257, 4095, 4096, 4097, 64 * 65, 20_000, 65_537, 200_000]
+    lengths += [int(n) for n in rng.integers(200, 200_001, size=20)]
+    for n in lengths:
+        # magnitudes over 16 decades make every rounding of the order visible
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+        assert pairwise_sum(x) == recursive_pairwise_sum(x), n
+    assert math.copysign(1.0, pairwise_sum(np.full(130, -0.0))) == 1.0

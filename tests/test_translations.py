@@ -1,6 +1,7 @@
 """Translation, twist and the vanishing-translation norm profile."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ def test_profile_small_eps_matches_plain_estimate(scheme, p):
     bound = math.fsum(abs(v[0]) * (1.0 - n ** (-eps)) for n, v in MIXED.items()) + 1e-9
     assert abs(probe.value - plain.value) <= bound
     assert hplus_norm(MIXED, p, cfg).value == plain.value
+
+
+def test_profile_memory_stays_chunked():
+    # 10,000 samples x 1,000 terms would be a 153 MiB monomial matrix
+    D = DirichletPoly({n: 1.0 for n in range(1, 1001)})
+    cfg = SamplerConfig(10_000, 0, "kronecker")
+    tracemalloc.start()
+    try:
+        rows = eps_norm_profile(D, 4.0, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 21
+    assert peak <= 32 * 2**20
 
 
 def test_vector_valued_twist_and_translate(rng):
