@@ -4,8 +4,9 @@ Every subcommand assembles an ExperimentSpec and hands it to `run`,
 which does the work, writes the result atomically (temp file + rename)
 and returns the exit status: 0 on success, 2 on any validation problem
 (bad flags, unreadable or malformed input), 3 when a numerical check
-fails.  Results are JSON objects or CSV tables with fixed columns;
-seeds always default to 0 and are echoed back in JSON estimates.
+fails, 1 on an unexpected error (traceback on stderr).  Results are
+JSON objects or CSV tables with fixed columns; seeds always default to
+0 and are echoed back in JSON estimates.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .analysis import (
     stolz_ratio,
     unit_direction_family,
 )
-from .errors import EstimatorInconsistencyError
+from .errors import EstimatorInconsistencyError, SieveCapError
 from .gallery import DEFAULT_SIGMA, gallery
 from .norms import (
     norm_h2_exact,
@@ -355,7 +357,8 @@ _HANDLERS = {
 def run(spec: ExperimentSpec) -> int:
     """Execute a parsed experiment; returns the process exit status.
 
-    0 = success, 2 = validation problem, 3 = a numerical check failed.
+    0 = success, 2 = validation problem, 3 = a numerical check failed,
+    1 = an unexpected error, reported with its traceback on stderr.
     Output lands at spec.output_path (atomically) or on stdout.
     """
     handler = _HANDLERS.get(spec.subcommand)
@@ -369,9 +372,12 @@ def run(spec: ExperimentSpec) -> int:
     except EstimatorInconsistencyError as exc:
         click.echo(f"numerical check failed: {exc}", err=True)
         return 3
-    except Exception as exc:
+    except (ValueError, TypeError, OverflowError, SieveCapError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except Exception:
+        click.echo(traceback.format_exc(), err=True, nl=False)
+        return 1
 
 
 # -- click wiring ---------------------------------------------------------------

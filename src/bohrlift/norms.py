@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError, NoClosedFormError
+from .multiindex import MultiIndex
 from .sampling import (
     KRONECKER_QMC,
     SamplerConfig,
+    coordinate_angles,
     kronecker_times,
     pairwise_mean,
     pairwise_sum,
-    torus_angles,
 )
 from .series import (
     DirichletPoly,
@@ -105,13 +106,24 @@ def sample_target(poly, cfg: SamplerConfig):
     """The polynomial a Monte Carlo estimate evaluates, and its sample points.
 
     Under the Kronecker scheme a Dirichlet polynomial is evaluated
-    directly at the flow times (omega^alpha(n) = n^{-it}); otherwise
-    the lift is evaluated at torus angles.
+    directly at the flow times (omega^alpha(n) = n^{-it}).  Otherwise
+    the lift is evaluated at torus angles, re-indexed onto the k
+    coordinates its support uses, with (samples, k) angles: Haar measure
+    is a product, so the other coordinates integrate out.  The points
+    are those columns of the full-width torus_angles, so estimates do
+    not change, and the re-indexing keeps the order of the keys, so
+    coeff_matrix rows are those of the lift.
     """
     if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
         return poly, kronecker_times(cfg)
     P = _as_power(poly)
-    return P, torus_angles(cfg, P.width)
+    active = sorted({pos for alpha, _ in P.items() for pos, _ in alpha.pairs})
+    at = {pos: j for j, pos in enumerate(active)}
+    target = PowerPoly(
+        {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): v for alpha, v in P.items()},
+        P.space,
+    )
+    return target, coordinate_angles(cfg, active)
 
 
 def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:

@@ -198,7 +198,7 @@ def poisson_convolve_numeric(
     for alpha in P.coeffs:
         dense = alpha.exponents
         idx = dense + (0,) * (m - len(dense))
-        out[alpha] = coeff_spectrum[idx].copy()  # a view would keep the whole spectrum alive
+        out[alpha] = coeff_spectrum[idx]
     return PowerPoly(out, P.space)
 
 

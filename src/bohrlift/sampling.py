@@ -70,9 +70,39 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
         raise ValueError("m must be non-negative")
     if cfg.scheme == IID_UNIFORM:
         return np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * math.pi, size=(cfg.samples, m))
-    t = kronecker_times(cfg)
-    logs = np.array([math.log(nth_prime(j)) for j in range(m)])
-    return np.mod(-np.outer(t, logs), 2.0 * math.pi)
+    return coordinate_angles(cfg, range(m))
+
+
+#: Angles drawn per block when coordinate_angles discards unused columns:
+#: 2**16 doubles, 512 KiB, small enough to stay cache-resident.
+_ANGLE_BLOCK = 65_536
+
+
+def coordinate_angles(cfg: SamplerConfig, positions) -> np.ndarray:
+    """Columns `positions` (increasing) of torus_angles(cfg, m) for any m past the last, bit for bit.
+
+    Only these columns are stored, so a polynomial whose support uses k
+    of m coordinates costs a (samples, k) array.  Kronecker angles are
+    computed at these coordinates alone.  The iid stream still runs
+    through every row of m angles, so that seeded runs keep the stream of
+    torus_angles, but it is drawn a block of rows at a time into one
+    reused buffer and the unused columns are dropped.
+    """
+    positions = list(positions)
+    if cfg.scheme == KRONECKER_QMC:
+        t = kronecker_times(cfg)
+        logs = np.array([math.log(nth_prime(j)) for j in positions])
+        return np.mod(-np.outer(t, logs), 2.0 * math.pi)
+    m = positions[-1] + 1 if positions else 0
+    rng = np.random.default_rng(cfg.seed)
+    out = np.empty((cfg.samples, len(positions)))
+    rows = max(1, _ANGLE_BLOCK // max(m, 1))
+    block = np.empty((min(rows, cfg.samples), m))
+    for lo in range(0, cfg.samples, rows):
+        drawn = block[: min(rows, cfg.samples - lo)]
+        rng.random(out=drawn)  # uniform(0, 2 pi) is 2 pi times these, bit for bit
+        np.multiply(drawn[:, positions], 2.0 * math.pi, out=out[lo : lo + drawn.shape[0]])
+    return out
 
 
 #: Largest leaf of the pairwise summation tree.

@@ -27,7 +27,7 @@ from .norms import (
     norm_hp_mc,
     sample_target,
 )
-from .primes import factorize, index_of
+from .primes import factorize
 from .sampling import SamplerConfig
 from .series import DirichletPoly, bohr_lift, coeff_matrix, evaluate
 from .spaces import row_norms, vector_norm
@@ -158,8 +158,8 @@ def _mc_translates(D: DirichletPoly, p: float, eps_list, cfg: SamplerConfig) -> 
     gives the plain estimate, equal to `norm_hp_mc` bit for bit.
     """
     target, points = sample_target(D, cfg)
-    keys = target.indices()
-    ns = np.array(keys if target is D else [index_of(a) for a in keys], dtype=np.float64)
+    # coeff_matrix(target) rows follow the lift's key order, the order of factorize(n)
+    ns = np.array(D.indices() if target is D else sorted(D.indices(), key=factorize), dtype=np.float64)
     C = coeff_matrix(target)
     values = evaluate(target, points, np.stack([C * (ns ** (-e))[:, None] for e in eps_list]))
     return [mc_estimate(row_norms(v, D.space), p, cfg) for v in values]

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from bohrlift import DirichletPoly, bohr_lift, dumps, loads_dirichlet, loads_power
+from bohrlift import cli
 from bohrlift.cli import ExperimentSpec, run
+from bohrlift.errors import SieveCapError
 
 
 def run_spec(sub, out=None, fmt="json", **params):
@@ -94,6 +96,21 @@ def test_meaningless_json_exits_2(tmp_path):
 
 def test_unknown_subcommand_exits_2():
     assert run(ExperimentSpec("frobnicate", {}, None, "json")) == 2
+
+
+def test_unexpected_error_exits_1_with_traceback(monkeypatch, capsys):
+    def handler(exc):
+        def handle(spec):
+            raise exc
+        return handle
+
+    monkeypatch.setitem(cli._HANDLERS, "crash", handler(ZeroDivisionError("float division by zero")))
+    monkeypatch.setitem(cli._HANDLERS, "sieve", handler(SieveCapError("sieve past its cap")))
+    assert run(ExperimentSpec("crash", {}, None, "json")) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError: float division by zero" in err
+    assert run(ExperimentSpec("sieve", {}, None, "json")) == 2
+    assert capsys.readouterr().err == "error: sieve past its cap\n"
 
 
 def test_translate(tmp_path):

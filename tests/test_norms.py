@@ -1,6 +1,7 @@
 """Hardy-norm estimators against closed forms and each other."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,11 +17,16 @@ from bohrlift import (
     norm_hinf_grid,
     norm_hp_mc,
     norm_p_limit_check,
+    power_values_at_angles,
+    primes_up_to,
+    torus_angles,
     vertical_mean,
     vertical_mean_diagnostic,
     vertical_sup,
 )
 from bohrlift.errors import DimensionCapError, NoClosedFormError
+from bohrlift.norms import mc_estimate
+from bohrlift.spaces import row_norms
 from conftest import random_dirichlet
 
 TWO_TERM = DirichletPoly({1: 1.0, 2: 1.0})
@@ -165,3 +171,37 @@ def test_constant_power_poly():
     P = PowerPoly({EMPTY_INDEX: 2.0 - 1.0j})
     assert norm_h2_exact(P).value == pytest.approx(math.sqrt(5.0))
     assert norm_hinf_grid(P, 4).value == pytest.approx(math.sqrt(5.0))
+
+
+# primes 2 and 7 only: the lift has width 4 and uses coordinates 0 and 3
+ON_2_AND_7 = DirichletPoly({1: 1.0, 2: -0.5, 7: 0.8j, 14: 1.5, 49: -0.7, 98: 0.4 - 0.3j})
+
+
+@pytest.mark.parametrize(
+    "D, cfg",
+    [
+        (TWO_TERM, SamplerConfig(100_000, 0)),  # every coordinate used: criterion 11's stream
+        (ON_2_AND_7, SamplerConfig(20000, 5)),
+        (ON_2_AND_7, SamplerConfig(20000, 5, "kronecker")),
+    ],
+)
+def test_torus_mc_keeps_the_full_width_stream(D, cfg):
+    # only the used coordinates are sampled, and they are those of the full-width points
+    P = bohr_lift(D)
+    x = row_norms(power_values_at_angles(P, torus_angles(cfg, P.width)), P.space)
+    assert norm_hp_mc(P, 4.0, cfg) == mc_estimate(x, 4.0, cfg)
+
+
+def test_mc_memory_follows_the_used_coordinates(rng):
+    # width 415, 24 used coordinates: full-width angles alone would take 158 MiB
+    primes = primes_up_to(3000)[:415:18]
+    D = DirichletPoly({1: [1.0, 0.0], **{q: rng.normal(size=2) for q in primes}}, CoeffSpace(2))
+    assert (bohr_lift(D).width, len(primes)) == (415, 24)
+    tracemalloc.start()
+    try:
+        est = norm_hp_mc(D, 4.0, SamplerConfig(50_000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 50_000
+    assert peak <= 32 * 2**20

@@ -5,7 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from bohrlift import IID_UNIFORM, KRONECKER_QMC, CoeffSpace, SamplerConfig, pairwise_mean, pairwise_sum, torus_angles
+from bohrlift import (
+    EMPTY_INDEX,
+    IID_UNIFORM,
+    KRONECKER_QMC,
+    CoeffSpace,
+    DirichletPoly,
+    SamplerConfig,
+    bohr_lift,
+    pairwise_mean,
+    pairwise_sum,
+    torus_angles,
+)
 from bohrlift.sampling import KRONECKER_SPAN
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
@@ -41,6 +52,21 @@ def test_coeff_arrays_immutable():
     v = as_coeff_array(1.0 + 2.0j)
     with pytest.raises((ValueError, RuntimeError)):
         v[0] = 0.0
+
+
+def test_coeff_arrays_share_no_caller_memory():
+    # a view into the caller's matrix is copied, so writing the matrix leaves D alone
+    M = np.arange(2000, dtype=np.complex128).reshape(1000, 2)
+    D = DirichletPoly({1: M[3]}, CoeffSpace(2))
+    M[3, 0] = 7
+    assert D[1].tolist() == [6, 7] and not np.shares_memory(D[1], M)
+    # an owned writable array is copied, so the caller's array stays writable
+    a = np.array([1.0, 2.0], dtype=np.complex128)
+    D = DirichletPoly({1: a}, CoeffSpace(2))
+    a[0] = 5
+    assert D[1].tolist() == [1, 2]
+    # stored coefficients own read-only data and move through the lift as they are
+    assert bohr_lift(D)[EMPTY_INDEX] is D[1]
 
 
 def test_sampler_config_validation():

@@ -142,6 +142,19 @@ def test_profile_small_eps_matches_plain_estimate(scheme, p):
     assert hplus_norm(MIXED, p, cfg).value == plain.value
 
 
+# primes 2 and 7 only: the lift has width 4 and 2 used coordinates
+ON_2_AND_7 = DirichletPoly({1: 1.0, 2: -0.5, 7: 0.8j, 14: 1.5, 49: -0.7, 98: 0.4 - 0.3j})
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_profile_rows_pair_weights_with_their_index(scheme):
+    # each row weighs the coefficient at n by n^-eps, n the original index
+    cfg = SamplerConfig(20000, 0, scheme)
+    for eps, est in eps_norm_profile(ON_2_AND_7, 4.0, [0.25, 1.0], cfg):
+        plain = norm_hp_mc(translate(ON_2_AND_7, eps), 4.0, cfg)
+        assert est.value == pytest.approx(plain.value, rel=1e-12, abs=0.0)
+
+
 def test_profile_memory_stays_chunked():
     # 10,000 samples x 1,000 terms would be a 153 MiB monomial matrix
     D = DirichletPoly({n: 1.0 for n in range(1, 1001)})
