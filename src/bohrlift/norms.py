@@ -103,7 +103,7 @@ def check_p(p: float) -> None:
 
 
 def sample_target(poly, cfg: SamplerConfig):
-    """The polynomial a Monte Carlo estimate evaluates, and its sample points.
+    """The polynomial a Monte Carlo estimate evaluates, its sample points, and its row keys.
 
     Under the Kronecker scheme a Dirichlet polynomial is evaluated
     directly at the flow times (omega^alpha(n) = n^{-it}).  Otherwise
@@ -111,19 +111,20 @@ def sample_target(poly, cfg: SamplerConfig):
     coordinates its support uses, with (samples, k) angles: Haar measure
     is a product, so the other coordinates integrate out.  The points
     are those columns of the full-width torus_angles, so estimates do
-    not change, and the re-indexing keeps the order of the keys, so
-    coeff_matrix rows are those of the lift.
+    not change.  The third value holds, for each row of
+    coeff_matrix(target), its key in poly (a Dirichlet index on the
+    line) or in the lift of poly (on the torus).
     """
     if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
-        return poly, kronecker_times(cfg)
+        return poly, kronecker_times(cfg), poly.indices()
     P = _as_power(poly)
     active = sorted({pos for alpha, _ in P.items() for pos, _ in alpha.pairs})
     at = {pos: j for j, pos in enumerate(active)}
-    target = PowerPoly(
-        {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): v for alpha, v in P.items()},
-        P.space,
-    )
-    return target, coordinate_angles(cfg, active)
+    source = {
+        MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): alpha for alpha, _ in P.items()
+    }
+    target = PowerPoly._moved({key: P[alpha] for key, alpha in source.items()}, P.space)
+    return target, coordinate_angles(cfg, active), [source[key] for key in target.indices()]
 
 
 def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
@@ -264,6 +265,6 @@ def norm_p_limit_check(D, p_grid, cfg: SamplerConfig) -> list[tuple[float, NormE
     if P.width == 0:
         c = _constant_value(P)
         return [(p, NormEstimate(c, EXACT_PARSEVAL, 0.0, 0, cfg.seed)) for p in ps]
-    target, points = sample_target(D, cfg)
+    target, points, _ = sample_target(D, cfg)
     x = row_norms(evaluate(target, points), target.space)
     return [(p, mc_estimate(x, p, cfg)) for p in ps]

@@ -174,7 +174,7 @@ def poisson_convolve_numeric(
             f"grid_per_dim must exceed 2 * max degree + 1 = {2 * max_deg + 1}, got {grid_per_dim}"
         )
     if m == 0:
-        return PowerPoly(dict(P.items()), P.space)
+        return PowerPoly._moved(dict(P.items()), P.space)
 
     G = grid_per_dim
     d = P.space.dim

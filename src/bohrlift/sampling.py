@@ -68,8 +68,6 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     """(samples, m) array of angles; the sample points are exp(1j * angles)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    if cfg.scheme == IID_UNIFORM:
-        return np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * math.pi, size=(cfg.samples, m))
     return coordinate_angles(cfg, range(m))
 
 
@@ -79,14 +77,15 @@ _ANGLE_BLOCK = 65_536
 
 
 def coordinate_angles(cfg: SamplerConfig, positions) -> np.ndarray:
-    """Columns `positions` (increasing) of torus_angles(cfg, m) for any m past the last, bit for bit.
+    """Columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit.
 
     Only these columns are stored, so a polynomial whose support uses k
     of m coordinates costs a (samples, k) array.  Kronecker angles are
-    computed at these coordinates alone.  The iid stream still runs
-    through every row of m angles, so that seeded runs keep the stream of
-    torus_angles, but it is drawn a block of rows at a time into one
-    reused buffer and the unused columns are dropped.
+    computed at these coordinates alone.  The iid stream runs through
+    every row of m angles, the uniform(0, 2 pi) draw of a (samples, m)
+    array, so that a seed keeps its stream whichever columns are kept;
+    when some are dropped it is drawn a block of rows at a time into one
+    reused buffer.
     """
     positions = list(positions)
     if cfg.scheme == KRONECKER_QMC:
@@ -96,11 +95,16 @@ def coordinate_angles(cfg: SamplerConfig, positions) -> np.ndarray:
     m = positions[-1] + 1 if positions else 0
     rng = np.random.default_rng(cfg.seed)
     out = np.empty((cfg.samples, len(positions)))
-    rows = max(1, _ANGLE_BLOCK // max(m, 1))
+    # uniform(0, 2 pi) is 2 pi times random(), bit for bit
+    if len(positions) == m:  # every column kept
+        rng.random(out=out)
+        out *= 2.0 * math.pi
+        return out
+    rows = max(1, _ANGLE_BLOCK // m)
     block = np.empty((min(rows, cfg.samples), m))
     for lo in range(0, cfg.samples, rows):
         drawn = block[: min(rows, cfg.samples - lo)]
-        rng.random(out=drawn)  # uniform(0, 2 pi) is 2 pi times these, bit for bit
+        rng.random(out=drawn)
         np.multiply(drawn[:, positions], 2.0 * math.pi, out=out[lo : lo + drawn.shape[0]])
     return out
 

@@ -117,3 +117,5 @@ def _parse(text: str) -> Any:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("invalid JSON: nested too deeply") from exc

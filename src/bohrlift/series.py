@@ -63,6 +63,18 @@ class _SparsePoly:
             raise ValueError("coefficients must be finite")
         self._coeffs = store
 
+    @classmethod
+    def _moved(cls, coeffs: Mapping, space: CoeffSpace):
+        """A polynomial on coefficient vectors stored by other polynomials, kept as they are.
+
+        Stored vectors are immutable copies, nonzero and finite, so only
+        the keys are validated; lift and transform move, never copy.
+        """
+        poly = cls.__new__(cls)
+        poly._space = space
+        poly._coeffs = {cls._key(key): v for key, v in coeffs.items()}
+        return poly
+
     @property
     def space(self) -> CoeffSpace:
         return self._space
@@ -100,7 +112,7 @@ class _SparsePoly:
 
     def __add__(self, other):
         _check_space(self, other)
-        out = {k: v.copy() for k, v in self._coeffs.items()}
+        out = dict(self._coeffs)
         for k, v in other.items():
             out[k] = out[k] + v if k in out else v
         return type(self)(out, self._space)
@@ -166,12 +178,12 @@ class PowerPoly(_SparsePoly):
 
 def bohr_lift(D: DirichletPoly) -> PowerPoly:
     """Move each coefficient a_n to the monomial z^alpha with n = prod p_j^alpha_j."""
-    return PowerPoly({factorize(n): v for n, v in D.items()}, D.space)
+    return PowerPoly._moved({factorize(n): v for n, v in D.items()}, D.space)
 
 
 def bohr_transform(P: PowerPoly) -> DirichletPoly:
     """Inverse of the lift: coefficient at alpha returns to index prod p_j^alpha_j."""
-    return DirichletPoly({index_of(alpha): v for alpha, v in P.items()}, P.space)
+    return DirichletPoly._moved({index_of(alpha): v for alpha, v in P.items()}, P.space)
 
 
 def restrict(P: PowerPoly, m: int) -> PowerPoly:
@@ -183,14 +195,14 @@ def restrict(P: PowerPoly, m: int) -> PowerPoly:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    return PowerPoly({a: v for a, v in P.items() if a.width <= m}, P.space)
+    return PowerPoly._moved({a: v for a, v in P.items() if a.width <= m}, P.space)
 
 
 def partial_sum(D: DirichletPoly, N: int) -> DirichletPoly:
     """Truncation S_N D = sum_{n <= N} a_n n^{-s}."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    return DirichletPoly({n: v for n, v in D.items() if n <= N}, D.space)
+    return DirichletPoly._moved({n: v for n, v in D.items() if n <= N}, D.space)
 
 
 def max_coeff_gap(A, B) -> float:

@@ -38,20 +38,10 @@ def as_coeff_array(value, dim: int | None = None) -> np.ndarray:
     """Normalize a scalar or sequence to an immutable complex vector.
 
     With dim given the shape is validated; otherwise scalars become
-    1-vectors and sequences keep their length.  The result shares no
-    memory a caller can write: a complex vector that owns its read-only
-    data (as stored coefficients do) is kept as it is, and anything
-    else, a writable array or a view included, is copied.
+    1-vectors and sequences keep their length.  The result is always a
+    fresh copy, so it shares no memory with the caller's value.
     """
-    arr = value
-    if not (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == np.complex128
-        and arr.ndim == 1
-        and arr.flags.owndata
-        and not arr.flags.writeable
-    ):
-        arr = np.array(value, dtype=np.complex128, ndmin=1)
+    arr = np.array(value, dtype=np.complex128, ndmin=1)
     if arr.ndim != 1:
         raise ValueError(f"coefficient must be a scalar or 1-d sequence, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:

@@ -27,7 +27,7 @@ from .norms import (
     norm_hp_mc,
     sample_target,
 )
-from .primes import factorize
+from .primes import factorize, index_of
 from .sampling import SamplerConfig
 from .series import DirichletPoly, bohr_lift, coeff_matrix, evaluate
 from .spaces import row_norms, vector_norm
@@ -86,7 +86,7 @@ def translate(D: DirichletPoly, z: complex) -> DirichletPoly:
     """
     z = complex(z)
     if z == 0:
-        return DirichletPoly(dict(D.items()), D.space)
+        return DirichletPoly._moved(dict(D.items()), D.space)
     return DirichletPoly(
         {n: v * cmath.exp(-z * math.log(n)) for n, v in D.items()}, D.space
     )
@@ -157,9 +157,8 @@ def _mc_translates(D: DirichletPoly, p: float, eps_list, cfg: SamplerConfig) -> 
     translate's coefficients, a_n n^{-eps}, are applied to them; eps = 0
     gives the plain estimate, equal to `norm_hp_mc` bit for bit.
     """
-    target, points = sample_target(D, cfg)
-    # coeff_matrix(target) rows follow the lift's key order, the order of factorize(n)
-    ns = np.array(D.indices() if target is D else sorted(D.indices(), key=factorize), dtype=np.float64)
+    target, points, keys = sample_target(D, cfg)
+    ns = np.array(keys if target is D else [index_of(a) for a in keys], dtype=np.float64)
     C = coeff_matrix(target)
     values = evaluate(target, points, np.stack([C * (ns ** (-e))[:, None] for e in eps_list]))
     return [mc_estimate(row_norms(v, D.space), p, cfg) for v in values]

@@ -87,6 +87,13 @@ def test_malformed_json_exits_2(tmp_path):
     assert run_spec("lift", None, input_path=str(bad)) == 2
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000)
+    assert run_spec("lift", None, input_path=str(bad)) == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
 def test_meaningless_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     for coeff in ('"n": true, "re": [1.0]', '"n": 1, "re": [NaN]'):

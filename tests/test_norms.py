@@ -27,7 +27,7 @@ from bohrlift import (
 from bohrlift.errors import DimensionCapError, NoClosedFormError
 from bohrlift.norms import mc_estimate
 from bohrlift.spaces import row_norms
-from conftest import random_dirichlet
+from conftest import ON_2_AND_7, random_dirichlet
 
 TWO_TERM = DirichletPoly({1: 1.0, 2: 1.0})
 
@@ -171,10 +171,6 @@ def test_constant_power_poly():
     P = PowerPoly({EMPTY_INDEX: 2.0 - 1.0j})
     assert norm_h2_exact(P).value == pytest.approx(math.sqrt(5.0))
     assert norm_hinf_grid(P, 4).value == pytest.approx(math.sqrt(5.0))
-
-
-# primes 2 and 7 only: the lift has width 4 and uses coordinates 0 and 3
-ON_2_AND_7 = DirichletPoly({1: 1.0, 2: -0.5, 7: 0.8j, 14: 1.5, 49: -0.7, 98: 0.4 - 0.3j})
 
 
 @pytest.mark.parametrize(

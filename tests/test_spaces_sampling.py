@@ -17,7 +17,7 @@ from bohrlift import (
     pairwise_sum,
     torus_angles,
 )
-from bohrlift.sampling import KRONECKER_SPAN
+from bohrlift.sampling import KRONECKER_SPAN, coordinate_angles
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
 
@@ -65,7 +65,14 @@ def test_coeff_arrays_share_no_caller_memory():
     D = DirichletPoly({1: a}, CoeffSpace(2))
     a[0] = 5
     assert D[1].tolist() == [1, 2]
-    # stored coefficients own read-only data and move through the lift as they are
+    # an owned read-only array is copied too: its owner can make it writable again
+    a = np.array([1.0, 2.0], dtype=np.complex128)
+    a.setflags(write=False)
+    D = DirichletPoly({1: a}, CoeffSpace(2))
+    a.setflags(write=True)
+    a[0] = 5
+    assert D[1].tolist() == [1, 2] and not np.shares_memory(D[1], a)
+    # stored coefficients move through the lift as they are
     assert bohr_lift(D)[EMPTY_INDEX] is D[1]
 
 
@@ -90,6 +97,16 @@ def test_torus_angles_shapes_and_determinism():
     assert np.all((a >= 0) & (a < 2 * np.pi))
     c = torus_angles(cfg.with_seed(4), 4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("m", [1, 5, 300])
+def test_iid_angles_keep_the_uniform_stream(m):
+    # kept columns are those of the full-width uniform draw, bit for bit, across blocks
+    cfg = SamplerConfig(1000, 8)
+    full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(1000, m))
+    assert np.array_equal(torus_angles(cfg, m), full)
+    for positions in ([m - 1], sorted({0, m // 2, m - 1})):
+        assert np.array_equal(coordinate_angles(cfg, positions), full[:, positions])
 
 
 def test_kronecker_angles_follow_the_flow():

@@ -22,7 +22,7 @@ from bohrlift import (
 )
 from bohrlift.errors import EstimatorInconsistencyError
 from bohrlift.translations import EPS_CROSS_CHECK
-from conftest import random_dirichlet
+from conftest import ON_2_AND_7, random_dirichlet
 
 TWO_TERM = DirichletPoly({1: 1.0, 2: 1.0})
 
@@ -140,10 +140,6 @@ def test_profile_small_eps_matches_plain_estimate(scheme, p):
     bound = math.fsum(abs(v[0]) * (1.0 - n ** (-eps)) for n, v in MIXED.items()) + 1e-9
     assert abs(probe.value - plain.value) <= bound
     assert hplus_norm(MIXED, p, cfg).value == plain.value
-
-
-# primes 2 and 7 only: the lift has width 4 and 2 used coordinates
-ON_2_AND_7 = DirichletPoly({1: 1.0, 2: -0.5, 7: 0.8j, 14: 1.5, 49: -0.7, 98: 0.4 - 0.3j})
 
 
 @pytest.mark.parametrize("scheme", ["iid", "kronecker"])
