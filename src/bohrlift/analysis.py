@@ -24,12 +24,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .gallery import gallery
 from .multiindex import EMPTY_INDEX, MultiIndex
 from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp_mc
 from .primes import factorize, index_of
 from .sampling import SamplerConfig, derive_seed
 from .series import PowerPoly, power_eval
-from .spaces import CoeffSpace, NORM_LINF, SCALAR, vector_norm
+from .spaces import CoeffSpace, SCALAR, vector_norm
 
 BOUNDED_SO_FAR = "BOUNDED_SO_FAR"
 DIVERGENT_TREND = "DIVERGENT_TREND"
@@ -295,27 +296,24 @@ def unit_direction_family(cap: int | None = None) -> CoeffFamily:
 def c0_style_family(size: int) -> CoeffFamily:
     """Standard basis vectors as coefficients: e_n at alpha(n), n <= size.
 
-    Lives in (C^size, linf).  Every coefficient has norm one (no decay
-    at all), yet each restriction has sup norm exactly one: at any torus
-    point the entries are unimodular monomial values, so the max is 1.
-    The family is the finite-dimensional shadow of a c_0-valued series
-    whose membership no coefficient-decay test would predict.
+    The coefficients of gallery("c0", size), in (C^size, linf).  Every
+    coefficient has norm one (no decay at all), yet each restriction has
+    sup norm exactly one: at any torus point the entries are unimodular
+    monomial values, so the max is 1.  The family is the finite-
+    dimensional shadow of a c_0-valued series whose membership no
+    coefficient-decay test would predict.
     """
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    space = CoeffSpace(size, NORM_LINF)
+    D = gallery("c0", size)
+    zero = np.zeros(size)
 
     def gen(alpha: MultiIndex):
-        v = np.zeros(size)
         try:
             n = index_of(alpha)
         except OverflowError:
-            return v
-        if n <= size:
-            v[n - 1] = 1.0
-        return v
+            return zero
+        return D.get(n, zero)
 
     def support(m: int):
-        return [factorize(n) for n in range(1, size + 1)]
+        return [factorize(n) for n in D.indices()]
 
-    return CoeffFamily(f"c0-style-{size}", space, gen, support)
+    return CoeffFamily(f"c0-style-{size}", D.space, gen, support)

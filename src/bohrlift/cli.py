@@ -4,9 +4,10 @@ Every subcommand assembles an ExperimentSpec and hands it to `run`,
 which does the work, writes the result atomically (temp file + rename)
 and returns the exit status: 0 on success, 2 on any validation problem
 (bad flags, unreadable or malformed input), 3 when a numerical check
-fails, 1 on an unexpected error (traceback on stderr).  Results are
-JSON objects or CSV tables with fixed columns; seeds always default to
-0 and are echoed back in JSON estimates.
+fails, 1 on an unexpected error (traceback on stderr) or on a
+non-finite JSON result (one line naming the field).  Results are JSON
+objects or CSV tables with fixed columns; seeds always default to 0
+and are echoed back in JSON estimates.
 """
 
 from __future__ import annotations
@@ -69,8 +70,35 @@ class ExperimentSpec:
     fmt: str = "json"
 
 
+class _NonFiniteResult(Exception):
+    """A result holds inf or NaN, which JSON cannot carry; the library is at fault."""
+
+
+def _non_finite_field(obj, path: str = "") -> str | None:
+    """Path of the first inf or NaN float inside a JSON-ready object, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path or "<result>"
+    if isinstance(obj, dict):
+        children = ((f"{path}.{key}" if path else str(key), value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for child_path, value in children:
+        found = _non_finite_field(value, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        field = _non_finite_field(obj)
+        if field is None:
+            raise
+        raise _NonFiniteResult(f"non-finite value in result field {field!r}") from None
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -358,17 +386,24 @@ def run(spec: ExperimentSpec) -> int:
     """Execute a parsed experiment; returns the process exit status.
 
     0 = success, 2 = validation problem, 3 = a numerical check failed,
-    1 = an unexpected error, reported with its traceback on stderr.
-    Output lands at spec.output_path (atomically) or on stdout.
+    1 = an unexpected error, reported with its traceback on stderr, or
+    a non-finite JSON result, reported in one line naming the field
+    (nothing is written then).  Output lands at spec.output_path
+    (atomically) or on stdout.
     """
     handler = _HANDLERS.get(spec.subcommand)
     if handler is None:
         click.echo(f"error: unknown subcommand {spec.subcommand!r}", err=True)
         return 2
     try:
-        text, code = handler(spec)
+        # overflow shows up as a non-finite result, reported below by field
+        with np.errstate(all="ignore"):
+            text, code = handler(spec)
         _write_output(spec.output_path, text)
         return code
+    except _NonFiniteResult as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 1
     except EstimatorInconsistencyError as exc:
         click.echo(f"numerical check failed: {exc}", err=True)
         return 3

@@ -33,6 +33,7 @@ class GalleryEntry:
 
 
 def _c0(size: int, seed: int = 0, sigma: float = DEFAULT_SIGMA) -> DirichletPoly:
+    """e_n at index n in (C^size, linf); `c0_style_family` reads its coefficients here."""
     space = CoeffSpace(size, NORM_LINF)
     coeffs = {}
     for n in range(1, size + 1):

@@ -14,6 +14,7 @@ each other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,13 @@ from .sampling import (
     pairwise_sum,
 )
 from .series import (
+    _CHUNK_ENTRIES,
     DirichletPoly,
     PowerPoly,
     bohr_lift,
     coeff_matrix,
     dirichlet_line_values,
     evaluate,
-    monomial_map,
 )
 from .spaces import row_norms, vector_norm
 
@@ -159,24 +160,69 @@ def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
     return norm_p_limit_check(poly, [p], cfg)[0][1]
 
 
+def check_grid(grid_per_dim) -> int:
+    """The lattice's nodes per coordinate as a Python int, or a ValueError/TypeError.
+
+    Only integers count: a float such as 16.5, a bool, or a string has
+    no meaning as a node count, and a numpy integer is returned as int
+    so that estimates stay JSON-encodable.
+    """
+    if isinstance(grid_per_dim, bool) or not isinstance(grid_per_dim, numbers.Integral):
+        raise TypeError(f"grid_per_dim must be an integer, got {grid_per_dim!r}")
+    if grid_per_dim < 1:
+        raise ValueError("grid_per_dim must be at least 1")
+    return int(grid_per_dim)
+
+
+def _axis_table(grid: int, n: int) -> np.ndarray:
+    """(grid, n) values of z^e at the grid-th roots of unity z = exp(2 pi i g / grid).
+
+    The phase comes from the integer residue g e mod grid, so a node
+    shared by grids G and 2G gets identical table entries.
+    """
+    residues = np.multiply.outer(np.arange(grid), np.arange(n)) % grid
+    return np.exp(2j * math.pi * residues / grid)
+
+
 def lattice_value_chunks(P: PowerPoly, grid: int):
     """Values of P on the width-fold lattice of grid-th roots of unity.
 
     Yields (points, dim) value blocks in C order of the lattice, so a
-    scan holds one block at a time whatever the lattice size.
+    scan holds one block at a time whatever the lattice size.  On the
+    lattice the values are an inverse DFT of P's coefficient tensor,
+    pruned to its support, and the transform is separable: scatter the
+    coefficients into a (d_1 + 1, ..., d_m + 1, dim) tensor, with every
+    exponent folded mod grid (z^e = z^(e mod grid) on grid-th roots, so
+    d_j is the largest folded exponent in coordinate j), then contract
+    one axis at a time with the (grid, d_j + 1) table of `_axis_table`.
+    The leading axis is contracted first, on the small tensor; each
+    block then contracts the other axes for one leading-axis slice of
+    grid^(m-1) points (or for as many slices as fit in _CHUNK_ENTRIES
+    values, when slices are smaller), so memory follows the block, not
+    the lattice.
     """
     m = P.width
-    total = grid**m
-    step = 2.0 * math.pi / grid
-    chunk, monomials = monomial_map(P)  # one plan for the whole lattice
-    C = coeff_matrix(P)
-    for lo in range(0, total, chunk):
-        flat = np.arange(lo, min(total, lo + chunk), dtype=np.int64)
-        theta = np.empty((flat.size, m), dtype=np.float64)
-        for j in range(m):
-            theta[:, j] = (flat // grid ** (m - 1 - j)) % grid
-        theta *= step
-        yield monomials(theta) @ C
+    if m == 0:  # the one-point lattice
+        yield coeff_matrix(P).sum(axis=0, keepdims=True)
+        return
+    dim = P.space.dim
+    folded = np.zeros((len(P), m), dtype=np.intp)
+    for i, alpha in enumerate(P.indices()):
+        for pos, e in alpha.pairs:
+            folded[i, pos] = e % grid
+    shape = tuple(int(d) + 1 for d in folded.max(axis=0))
+    T = np.zeros(shape + (dim,), dtype=np.complex128)
+    np.add.at(T, tuple(folded.T), coeff_matrix(P))  # folded terms may share a cell
+    tables = [_axis_table(grid, n) for n in shape]
+    lead = (tables[0] @ T.reshape(shape[0], -1)).reshape((grid,) + shape[1:] + (dim,))
+    step = max(1, _CHUNK_ENTRIES // (grid ** (m - 1) * dim))
+    for lo in range(0, grid, step):
+        X = lead[lo : lo + step]
+        for j in range(m - 1, 0, -1):  # trailing axes back to front, which keeps C order
+            s = X.shape
+            X = np.matmul(tables[j], X.reshape(math.prod(s[:j]), s[j], -1))
+            X = X.reshape(s[:j] + (grid,) + s[j + 1 :])
+        yield X.reshape(-1, dim)
 
 
 def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP) -> NormEstimate:
@@ -185,10 +231,11 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     A certified lower bound for the true sup norm (the scan only visits
     lattice points).  Along refining grids (G, 2G, 4G, ...) the value is
     non-decreasing since each lattice contains the previous one.  The
+    values come from the separable engine of `lattice_value_chunks`,
+    which folds exponents mod G, so any integer G >= 1 is valid.  The
     lift width is capped to keep the G^m lattice enumerable.
     """
-    if grid_per_dim < 1:
-        raise ValueError("grid_per_dim must be at least 1")
+    G = check_grid(grid_per_dim)
     P = _as_power(poly)
     m = P.width
     if m > dim_cap:
@@ -198,9 +245,9 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     if m == 0:
         return NormEstimate(_constant_value(P), TORUS_GRID_SUP, 0.0, 1)
     best = 0.0
-    for vals in lattice_value_chunks(P, grid_per_dim):
+    for vals in lattice_value_chunks(P, G):
         best = max(best, float(row_norms(vals, P.space).max()))
-    return NormEstimate(best, TORUS_GRID_SUP, 0.0, grid_per_dim**m)
+    return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**m)
 
 
 def _line_norms(D: DirichletPoly, R: float, t_samples: int) -> tuple[np.ndarray, float]:

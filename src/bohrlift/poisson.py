@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
-from .norms import NormEstimate, lattice_value_chunks, norm_h2_exact, norm_hp_mc
+from .norms import NormEstimate, check_grid, lattice_value_chunks, norm_h2_exact, norm_hp_mc
 from .sampling import SamplerConfig
 from .series import PowerPoly
 
@@ -158,25 +158,32 @@ def poisson_convolve_numeric(
     Averages the polynomial's lattice values against the kernel (a
     cyclic convolution over the grid group, evaluated by FFT) and reads
     the smoothed coefficients back off by discrete orthogonality.  The
-    node count per coordinate must exceed twice the largest per-
-    coordinate degree plus one; then polynomial frequencies never alias
-    and the only deviation from the exact path is the kernel's
-    geometric tail r^{grid - degree}.
+    values come from the separable engine of `lattice_value_chunks`
+    and go through numpy's forward FFT; the kernel is the closed form
+    (1 - r^2) / |1 - r e^{i theta}|^2 sampled on the grid and
+    transformed the same way.  The convolution's quadrature values and
+    their coefficients are an inverse and a forward FFT that cancel,
+    so the coefficients are the product spectrum over G^(2m) directly.
+    The node count per coordinate must be an integer exceeding twice
+    the largest per-coordinate degree plus one; then polynomial
+    frequencies never alias (the engine folds nothing) and the only
+    deviation from the exact path is the kernel's geometric tail
+    r^{grid - degree}.
     """
+    G = check_grid(grid_per_dim)
     m = P.width
     if m > dim_cap:
         raise DimensionCapError(f"quadrature over {m} coordinates exceeds the cap {dim_cap}")
     if len(r) < m:
         raise ValueError(f"radius vector has {len(r)} entries, polynomial width is {m}")
     max_deg = max((e for alpha in P.coeffs for _, e in alpha.pairs), default=0)
-    if grid_per_dim <= 2 * max_deg + 1:
+    if G <= 2 * max_deg + 1:
         raise ValueError(
-            f"grid_per_dim must exceed 2 * max degree + 1 = {2 * max_deg + 1}, got {grid_per_dim}"
+            f"grid_per_dim must exceed 2 * max degree + 1 = {2 * max_deg + 1}, got {G}"
         )
     if m == 0:
         return PowerPoly._moved(dict(P.items()), P.space)
 
-    G = grid_per_dim
     d = P.space.dim
     axes = tuple(range(m))
     values = np.concatenate(list(lattice_value_chunks(P, G))).reshape((G,) * m + (d,))
@@ -189,10 +196,8 @@ def poisson_convolve_numeric(
         kj = (1.0 - rj**2) / np.abs(1.0 - rj * np.exp(2j * math.pi * ell / G)) ** 2
         shape = [1] * (m + 1)
         shape[j] = G
-        spectrum = spectrum * np.fft.fft(kj).reshape(shape)
-
-    smoothed = np.fft.ifftn(spectrum, axes=axes) / G**m  # quadrature values of the convolution
-    coeff_spectrum = np.fft.fftn(smoothed, axes=axes) / G**m
+        spectrum *= np.fft.fft(kj).reshape(shape)
+    coeff_spectrum = spectrum / G ** (2 * m)
 
     out = {}
     for alpha in P.coeffs:

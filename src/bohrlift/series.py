@@ -219,8 +219,9 @@ def max_coeff_gap(A, B) -> float:
 
 # -- dense views used by the estimators ---------------------------------------
 
-#: Cap on the (terms x points) monomial matrix of one chunk: 2**16 complex
-#: entries, 1 MiB, small enough to stay cache-resident.
+#: Cap on the (terms x points) monomial matrix of one chunk, and on the
+#: (points x dim) values of a lattice block that joins several slices:
+#: 2**16 complex entries, 1 MiB, small enough to stay cache-resident.
 _CHUNK_ENTRIES = 65_536
 
 #: Line evaluation factors an index by trial division with the primes up to

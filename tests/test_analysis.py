@@ -17,6 +17,7 @@ from bohrlift import (
     c0_style_family,
     cayley,
     cayley_inv,
+    gallery,
     hilbert_criterion,
     khintchine_linear,
     materialize_family,
@@ -202,3 +203,14 @@ def test_custom_family_via_dataclass():
     assert MultiIndex((1,)) in P
     assert MultiIndex((0, 1)) in P
     assert MultiIndex((2,)) not in P  # generator zeroed the higher degrees
+
+
+def test_c0_family_is_the_gallery_c0():
+    assert materialize_family(c0_style_family(8), 4) == bohr_lift(gallery("c0", 8))
+
+
+def test_criterion_c0_family_default_grid():
+    report = hilbert_criterion(c0_style_family(8), math.inf, 6)
+    assert [m for m, _ in report.per_m] == list(range(1, 7))
+    for _, est in report.per_m:
+        assert abs(est.value - 1.0) <= 1e-12

@@ -233,3 +233,18 @@ def test_cli_help_lists_subcommands():
     assert proc.returncode == 0
     for name in ("lift", "transform", "norm", "eps-profile", "poisson", "log-bound", "criterion"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [dict(p="2", exact=True), dict(p="inf", exact=False), dict(p="4", exact=False)])
+def test_non_finite_result_exits_1_and_writes_nothing(tmp_path, capsys, flags):
+    # finite coefficients whose norms overflow: the result would read Infinity or NaN
+    src = tmp_path / "d.json"
+    src.write_text(dumps(DirichletPoly({1: 1e308, 2: 1e308})))
+    out = tmp_path / "n.json"
+    params = dict(input_path=str(src), grid=16, R=None, t_samples=9, samples=100, seed=0, scheme="iid")
+    for target in (None, str(out)):
+        assert run_spec("norm", target, **params, **flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value in result field 'value'\n"
+    assert list(tmp_path.iterdir()) == [src]

@@ -1,5 +1,6 @@
 """Hardy-norm estimators against closed forms and each other."""
 
+import json
 import math
 import tracemalloc
 
@@ -10,9 +11,11 @@ from bohrlift import (
     EMPTY_INDEX,
     CoeffSpace,
     DirichletPoly,
+    MultiIndex,
     PowerPoly,
     SamplerConfig,
     bohr_lift,
+    gallery,
     norm_h2_exact,
     norm_hinf_grid,
     norm_hp_mc,
@@ -25,8 +28,9 @@ from bohrlift import (
     vertical_sup,
 )
 from bohrlift.errors import DimensionCapError, NoClosedFormError
-from bohrlift.norms import mc_estimate
-from bohrlift.spaces import row_norms
+from bohrlift.norms import lattice_value_chunks, mc_estimate
+from bohrlift.series import evaluate
+from bohrlift.spaces import row_norms, vector_norm
 from conftest import ON_2_AND_7, random_dirichlet
 
 TWO_TERM = DirichletPoly({1: 1.0, 2: 1.0})
@@ -201,3 +205,103 @@ def test_mc_memory_follows_the_used_coordinates(rng):
         tracemalloc.stop()
     assert est.samples == 50_000
     assert peak <= 32 * 2**20
+
+
+# -- the separable lattice engine ---------------------------------------------
+
+
+def _lattice_angles(G: int, m: int) -> np.ndarray:
+    """Angles of the G^m lattice in C order, the order lattice_value_chunks yields."""
+    axes = np.meshgrid(*[np.arange(G)] * m, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1) * (2.0 * math.pi / G)
+
+
+def _random_power(rng, width: int, dim: int, norm: str, max_exponent: int) -> PowerPoly:
+    coeffs = {}
+    for k in range(int(rng.integers(1, 8))):
+        alpha = [int(e) for e in rng.integers(0, max_exponent + 1, size=width)]
+        if k == 0:
+            alpha[-1] = max(alpha[-1], 1)  # the lift has the full width
+        coeffs[MultiIndex(alpha)] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return PowerPoly(coeffs, CoeffSpace(dim, norm))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_lattice_values_match_the_monomial_kernel(rng, norm):
+    # exponents up to 2G + 1 fold mod G; the lattice angles go through evaluate
+    for width in range(1, 5):
+        for dim in range(1, 4):
+            for G in (1, 2, 3, 5, 8):
+                P = _random_power(rng, width, dim, norm, 2 * G + 1)
+                theta = _lattice_angles(G, width)
+                expected = evaluate(P, theta)
+                values = np.concatenate(list(lattice_value_chunks(P, G)))
+                scale = sum(float(np.linalg.norm(v)) for _, v in P.items())
+                assert values.shape == expected.shape
+                assert np.abs(values - expected).max() <= 1e-13 * scale
+                sup = float(row_norms(expected, P.space).max())
+                assert abs(norm_hinf_grid(P, G).value - sup) <= 1e-13 * scale
+
+
+def test_lattice_folds_exponents_mod_grid():
+    # on cube roots z^5 = z^2 and z^7 = z: values 2, -1, -1
+    P = PowerPoly({MultiIndex((5,)): 1.0, MultiIndex((7,)): 1.0})
+    values = np.concatenate(list(lattice_value_chunks(P, 3)))[:, 0]
+    assert np.abs(values - [2.0, -1.0, -1.0]).max() <= 1e-15
+    assert norm_hinf_grid(P, 3).value == 2.0
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_monomial_lattice_sup_is_its_coefficient_norm(rng, norm):
+    for width in range(1, 5):
+        for G in (1, 3, 4, 7, 16):
+            alpha = [int(e) for e in rng.integers(0, 40, size=width)]
+            alpha[-1] += 1
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            P = PowerPoly({MultiIndex(alpha): v}, CoeffSpace(3, norm))
+            expected = vector_norm(P[MultiIndex(alpha)], P.space)
+            assert abs(norm_hinf_grid(P, G).value - expected) <= 1e-15 * expected
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_c0_gallery_lattice_sup_is_one(width):
+    N = primes_up_to(13)[width - 1]  # e_1..e_N lift to exactly `width` coordinates
+    D = gallery("c0", N)
+    assert bohr_lift(D).width == width
+    assert norm_hinf_grid(D, 6).value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lattice_scan_memory_follows_one_block(rng):
+    # 16^5 lattice points at dim 2: the whole lattice of values alone is 2 MiB, and
+    # contracting the trailing axes of the full tensor first holds d_1 + 1 slices
+    # at once and peaks past 12 MiB
+    alphas = set()
+    while len(alphas) < 12:
+        alphas.add(tuple(int(e) for e in rng.integers(0, 4, size=5)))
+    P = PowerPoly({MultiIndex(a): rng.normal(size=2) + 1j for a in alphas}, CoeffSpace(2))
+    assert P.width == 5
+    tracemalloc.start()
+    try:
+        est = norm_hinf_grid(P, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 16**5
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("bad", [16.5, True, "16", None])
+def test_hinf_grid_rejects_a_non_integer_grid(bad):
+    with pytest.raises(TypeError):
+        norm_hinf_grid(TWO_TERM, bad)
+
+
+def test_hinf_grid_rejects_an_empty_grid():
+    with pytest.raises(ValueError):
+        norm_hinf_grid(TWO_TERM, 0)
+
+
+def test_hinf_grid_stores_a_numpy_grid_as_int():
+    est = norm_hinf_grid(TWO_TERM, np.int64(16))
+    assert type(est.samples) is int and est.samples == 16
+    assert json.loads(json.dumps(est.to_dict()))["value"] == 2.0

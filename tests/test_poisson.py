@@ -159,3 +159,16 @@ def test_smoothing_shrinks_high_degrees_most():
     degs = sorted((alpha.degree, abs(complex(E[alpha][0]))) for alpha in E.indices())
     mags = [m for _, m in degs]
     assert mags == sorted(mags, reverse=True)
+
+
+@pytest.mark.parametrize("bad", [16.5, True, "16"])
+def test_numeric_rejects_a_non_integer_grid(bad):
+    P = bohr_lift(DirichletPoly({1: 1.0, 2: 0.5}))
+    with pytest.raises(TypeError):
+        poisson_convolve_numeric(P, RadiusVector([0.5]), bad)
+
+
+def test_numeric_takes_a_numpy_integer_grid():
+    P = bohr_lift(DirichletPoly({1: 1.0, 2: 0.5, 3: -0.25, 6: 1.5}))
+    r = RadiusVector([0.5, 0.25])
+    assert poisson_convolve_numeric(P, r, np.int64(16)) == poisson_convolve_numeric(P, r, 16)
