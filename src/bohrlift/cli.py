@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Every subcommand assembles an ExperimentSpec and hands it to `run`,
-which does the work, writes the result atomically (temp file + rename)
-and returns the exit status: 0 on success, 2 on any validation problem
-(bad flags, unreadable or malformed input), 3 when a numerical check
-fails, 1 on an unexpected error (traceback on stderr) or on a
-non-finite JSON result (one line naming the field).  Results are JSON
-objects or CSV tables with fixed columns; seeds always default to 0
-and are echoed back in JSON estimates.
+`@_command(name, *options)` on a handler declares a subcommand once: it
+registers the handler in `_HANDLERS` and builds the click command from
+the options, with the docstring as help.  Its callback passes every
+option but --out and --format to `run` as ExperimentSpec params; `run`
+does the work, writes the result atomically (temp file + rename) and
+returns the exit status: 0 on success, 2 on any validation problem (bad
+flags, unreadable or malformed input), 3 when a numerical check fails, 1
+on an unexpected error (traceback on stderr) or on a non-finite result
+(one line naming the field).  `_emit` writes JSON objects or CSV tables
+with fixed columns; seeds default to 0 and are echoed in JSON estimates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import os
 import tempfile
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import click
@@ -34,7 +36,7 @@ from .analysis import (
     unit_direction_family,
 )
 from .errors import EstimatorInconsistencyError, SieveCapError
-from .gallery import DEFAULT_SIGMA, gallery
+from .gallery import DEFAULT_SIGMA, GALLERY, gallery
 from .norms import (
     norm_h2_exact,
     norm_hinf_grid,
@@ -47,7 +49,6 @@ from .poisson import RadiusVector, contraction_check, poisson_convolve_exact, po
 from .sampling import SamplerConfig, VALID_SCHEMES
 from .serialize import (
     dirichlet_to_dict,
-    dumps,
     loads_dirichlet,
     loads_power,
     power_to_dict,
@@ -72,6 +73,9 @@ class ExperimentSpec:
 
 class _NonFiniteResult(Exception):
     """A result holds inf or NaN, which JSON cannot carry; the library is at fault."""
+
+    def __init__(self, field: str):
+        super().__init__(f"non-finite value in result field {field!r}")
 
 
 def _non_finite_field(obj, path: str = "") -> str | None:
@@ -98,14 +102,21 @@ def _json_text(obj) -> str:
         field = _non_finite_field(obj)
         if field is None:
             raise
-        raise _NonFiniteResult(f"non-finite value in result field {field!r}") from None
+        raise _NonFiniteResult(field) from None
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _emit(spec: ExperimentSpec, payload, rows: list[dict], columns: list[str]) -> str:
+    """JSON of `payload`, or for fmt "csv" the `columns` of `rows`; refuses inf and NaN."""
+    if spec.fmt != "csv":
+        return _json_text(payload)
+    table = [{column: row[column] for column in columns} for row in rows]
+    field = _non_finite_field(table)
+    if field is not None:
+        raise _NonFiniteResult(field)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows(row.values() for row in table)
     return buf.getvalue()
 
 
@@ -172,10 +183,54 @@ def _load_power(params: dict):
     return loads_power(Path(path).read_text())
 
 
-# -- handlers ------------------------------------------------------------------
+_HANDLERS: dict = {}
 
 
+@click.group()
+def main():
+    """Dirichlet-polynomial experiments on the polytorus."""
+
+
+# a click Option keeps no state between parses, so one instance serves every command listing it
+_OUT = click.Option(["--out", "output_path"], type=click.Path(dir_okay=False), default=None, help="Write here instead of stdout (atomic).")
+_INPUT = [
+    click.Option(["--in", "input_path"], type=click.Path(exists=False, dir_okay=False), default=None, help="Input polynomial (JSON)."),
+    click.Option(["--gallery", "gallery_name"], default=None, help="Use a gallery polynomial instead of --in."),
+    click.Option(["--size"], default=8, show_default=True, help="Gallery size parameter."),
+    click.Option(["--sigma"], default=DEFAULT_SIGMA, show_default=True, help="Gallery zeta_shift exponent."),
+]
+_GALLERY_SEED = click.Option(["--seed"], default=0, show_default=True, help="Gallery seed.")
+_SAMPLING = [
+    click.Option(["--samples"], default=10000, show_default=True, help="Monte Carlo sample count."),
+    click.Option(["--seed"], default=0, show_default=True, help="RNG seed."),
+    click.Option(["--scheme"], type=click.Choice(list(VALID_SCHEMES)), default="iid", show_default=True, help="Torus sampling scheme."),
+]
+_CSV_FORMAT = click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv", show_default=True)
+
+
+def _command(name: str, *options: click.Option):
+    """Register the decorated handler as subcommand `name`, taking `options` and --out."""
+
+    def register(handler):
+        def callback(output_path, fmt="json", **params):
+            raise SystemExit(run(ExperimentSpec(name, params, output_path, fmt)))
+
+        main.add_command(click.Command(name, callback=callback, params=[*options, _OUT], help=handler.__doc__))
+        _HANDLERS[name] = handler
+        return handler
+
+    return register
+
+
+@_command(
+    "gallery",
+    click.Option(["--name"], required=True, type=click.Choice(list(GALLERY))),
+    click.Option(["--size"], default=8, show_default=True),
+    click.Option(["--seed"], default=0, show_default=True),
+    click.Option(["--sigma"], default=DEFAULT_SIGMA, show_default=True),
+)
 def _handle_gallery(spec: ExperimentSpec):
+    """Emit a named example polynomial as JSON."""
     D = gallery(
         spec.params["name"],
         spec.params["size"],
@@ -185,17 +240,32 @@ def _handle_gallery(spec: ExperimentSpec):
     return _json_text(dirichlet_to_dict(D)), 0
 
 
+@_command("lift", *_INPUT, _GALLERY_SEED)
 def _handle_lift(spec: ExperimentSpec):
+    """Bohr lift: Dirichlet JSON in, power JSON out."""
     D = _load_dirichlet(spec.params)
     return _json_text(power_to_dict(bohr_lift(D))), 0
 
 
+@_command("transform", click.Option(["--in", "input_path"], required=True, type=click.Path(dir_okay=False)))
 def _handle_transform(spec: ExperimentSpec):
+    """Inverse lift: power JSON in, Dirichlet JSON out."""
     P = _load_power(spec.params)
     return _json_text(dirichlet_to_dict(bohr_transform(P))), 0
 
 
+@_command(
+    "norm",
+    *_INPUT,
+    click.Option(["--p"], default="2", show_default=True, help="Exponent, a float or 'inf'."),
+    click.Option(["--exact"], is_flag=True, help="Use the p = 2 closed form."),
+    click.Option(["--grid"], default=64, show_default=True, help="Lattice points per coordinate for p = inf."),
+    click.Option(["--R", "R"], type=float, default=None, help="Vertical-line half-length (switches to line estimators)."),
+    click.Option(["--t-samples"], default=4097, show_default=True, help="Vertical-line node count."),
+    *_SAMPLING,
+)
 def _handle_norm(spec: ExperimentSpec):
+    """Estimate a Hardy norm; emits a NormEstimate JSON object."""
     params = spec.params
     D = _load_dirichlet(params)
     p = _parse_p(params["p"])
@@ -215,7 +285,14 @@ def _handle_norm(spec: ExperimentSpec):
     return _json_text(est.to_dict()), 0
 
 
+@_command(
+    "translate",
+    *_INPUT,
+    click.Option(["--z"], required=True, help="Translation offset, e.g. '0.5' or '0.1+2j'."),
+    _GALLERY_SEED,
+)
 def _handle_translate(spec: ExperimentSpec):
+    """Translate: multiply the coefficient at n by n^{-z}."""
     D = _load_dirichlet(spec.params)
     try:
         z = complex(spec.params["z"].replace(" ", ""))
@@ -224,7 +301,16 @@ def _handle_translate(spec: ExperimentSpec):
     return _json_text(dirichlet_to_dict(translate(D, z))), 0
 
 
+@_command(
+    "eps-profile",
+    *_INPUT,
+    click.Option(["--p"], default="2", show_default=True),
+    click.Option(["--eps"], default=None, help="Comma-separated eps grid (default: geometric 1 .. 2^-20)."),
+    *_SAMPLING,
+    _CSV_FORMAT,
+)
 def _handle_eps_profile(spec: ExperimentSpec):
+    """Norm profile of the real translates D_eps (CSV: eps, value, std_error)."""
     params = spec.params
     D = _load_dirichlet(params)
     p = _parse_p(params["p"])
@@ -232,14 +318,20 @@ def _handle_eps_profile(spec: ExperimentSpec):
         raise ValueError("eps-profile needs a finite p")
     eps_grid = _parse_float_list(params["eps"]) if params.get("eps") else None
     rows = eps_norm_profile(D, p, eps_grid, _sampler(params))
-    if spec.fmt == "json":
-        payload = [{"eps": e, **est.to_dict()} for e, est in rows]
-        return _json_text(payload), 0
-    table = [[e, est.value, est.std_error] for e, est in rows]
-    return _csv_text(["eps", "value", "std_error"], table), 0
+    payload = [{"eps": e, **est.to_dict()} for e, est in rows]
+    return _emit(spec, payload, payload, ["eps", "value", "std_error"]), 0
 
 
+@_command(
+    "poisson",
+    click.Option(["--in", "input_path"], required=True, type=click.Path(dir_okay=False), help="Power polynomial (JSON)."),
+    click.Option(["--radii"], required=True, help="Comma-separated radii in [0, 1)."),
+    click.Option(["--p"], default="2", show_default=True, help="Exponent for the contraction check."),
+    click.Option(["--grid"], type=int, default=None, help="Also run the quadrature path at this node count and report the gap."),
+    *_SAMPLING,
+)
 def _handle_poisson(spec: ExperimentSpec):
+    """Radial smoothing: convolved polynomial plus the contraction check."""
     params = spec.params
     P = _load_power(params)
     radii = _parse_float_list(params["radii"])
@@ -263,7 +355,18 @@ def _handle_poisson(spec: ExperimentSpec):
     return _json_text(payload), code
 
 
+@_command(
+    "log-bound",
+    click.Option(["--family"], required=True, type=click.Choice(list(GALLERY))),
+    click.Option(["--N", "n_max"], default=4096, show_default=True, help="Largest truncation point (sweep doubles from 4)."),
+    click.Option(["--p"], default="inf", show_default=True),
+    click.Option(["--t-samples"], default=8193, show_default=True),
+    click.Option(["--sigma"], default=DEFAULT_SIGMA, show_default=True),
+    *_SAMPLING,
+    _CSV_FORMAT,
+)
 def _handle_log_bound(spec: ExperimentSpec):
+    """Truncation-ratio sweep ||S_N D|| / ||D|| against log N."""
     params = spec.params
     name = params["family"]
     p = _parse_p(params["p"])
@@ -284,24 +387,21 @@ def _handle_log_bound(spec: ExperimentSpec):
         _sampler(params),
         t_samples=params["t_samples"],
     )
-    table = [[row.N, row.ratio, row.ratio_over_log, row.p, row.method, row.std_error] for row in rows]
-    if spec.fmt == "json":
-        payload = [
-            {
-                "N": row.N,
-                "ratio": row.ratio,
-                "ratio_over_log": row.ratio_over_log,
-                "p": row.p,
-                "method": row.method,
-                "std_error": row.std_error,
-            }
-            for row in rows
-        ]
-        return _json_text(payload), 0
-    return _csv_text(["N", "ratio", "ratio_over_log", "p", "method", "std_error"], table), 0
+    # p is the input exponent, not a result: an infinite one is written "inf"
+    payload = [{**asdict(row), "p": "inf" if math.isinf(row.p) else row.p} for row in rows]
+    return _emit(spec, payload, payload, ["N", "ratio", "ratio_over_log", "p", "method", "std_error"]), 0
 
 
+@_command(
+    "abel-check",
+    *_INPUT,
+    click.Option(["--N", "n_start"], required=True, type=int, help="Block start (1 < N < M)."),
+    click.Option(["--M", "m_end"], required=True, type=int, help="Block end (M <= max index)."),
+    click.Option(["--eps", "eps_value"], required=True, type=float, help="Damping exponent eps > 0."),
+    _GALLERY_SEED,
+)
 def _handle_abel_check(spec: ExperimentSpec):
+    """Summation-by-parts identity check; exits 3 when the gap exceeds 1e-12."""
     params = spec.params
     D = _load_dirichlet(params)
     _, _, gap = abel_identity_check(D, params["n_start"], params["m_end"], params["eps_value"])
@@ -310,35 +410,49 @@ def _handle_abel_check(spec: ExperimentSpec):
     return _json_text(payload), 0 if ok else 3
 
 
+# each criterion family, built from --size
+_CRITERION_FAMILIES = {
+    "unit-directions": lambda size: unit_direction_family(None),
+    "unit-directions-capped": unit_direction_family,
+    "c0": c0_style_family,
+}
+
+
+@_command(
+    "criterion",
+    click.Option(["--family"], required=True, type=click.Choice(list(_CRITERION_FAMILIES))),
+    click.Option(["--size"], default=5, show_default=True, help="Cap (capped family) or dimension (c0)."),
+    click.Option(["--p"], default="2", show_default=True),
+    click.Option(["--m-max"], default=10, show_default=True),
+    click.Option(["--grid"], default=16, show_default=True, help="Lattice points per coordinate for p = inf."),
+    *_SAMPLING,
+    click.Option(["--format", "fmt"], type=click.Choice(["json", "csv"]), default="json", show_default=True),
+)
 def _handle_criterion(spec: ExperimentSpec):
+    """Restriction-norm membership probe over m = 1..m_max."""
     params = spec.params
-    name = params["family"]
-    size = params["size"]
-    if name == "unit-directions":
-        family = unit_direction_family(None)
-    elif name == "unit-directions-capped":
-        family = unit_direction_family(size)
-    elif name == "c0":
-        family = c0_style_family(size)
-    else:
-        raise ValueError(
-            f"unknown family {name!r}; choose unit-directions, unit-directions-capped or c0"
-        )
+    make_family = _CRITERION_FAMILIES.get(params["family"])
+    if make_family is None:
+        raise ValueError(f"unknown family {params['family']!r}; choose from {list(_CRITERION_FAMILIES)}")
     p = _parse_p(params["p"])
     report = hilbert_criterion(
-        family,
+        make_family(params["size"]),
         p,
         params["m_max"],
         _sampler(params),
         grid_per_dim=params["grid"],
     )
-    if spec.fmt == "csv":
-        table = [[m, est.value, est.std_error, est.method] for m, est in report.per_m]
-        return _csv_text(["m", "value", "std_error", "method"], table), 0
-    return _json_text(report.to_dict()), 0
+    payload = report.to_dict()
+    return _emit(spec, payload, payload["per_m"], ["m", "value", "std_error", "method"]), 0
 
 
+@_command(
+    "cayley-check",
+    click.Option(["--trials"], default=10000, show_default=True),
+    click.Option(["--seed"], default=0, show_default=True),
+)
 def _handle_cayley_check(spec: ExperimentSpec):
+    """Disc/half-plane round trips and the Stolz-ratio identity; exits 3 past 1e-12."""
     params = spec.params
     rng = np.random.default_rng(params["seed"])
     trials = params["trials"]
@@ -367,27 +481,12 @@ def _handle_cayley_check(spec: ExperimentSpec):
     return _json_text(payload), 0 if ok else 3
 
 
-_HANDLERS = {
-    "gallery": _handle_gallery,
-    "lift": _handle_lift,
-    "transform": _handle_transform,
-    "norm": _handle_norm,
-    "translate": _handle_translate,
-    "eps-profile": _handle_eps_profile,
-    "poisson": _handle_poisson,
-    "log-bound": _handle_log_bound,
-    "abel-check": _handle_abel_check,
-    "criterion": _handle_criterion,
-    "cayley-check": _handle_cayley_check,
-}
-
-
 def run(spec: ExperimentSpec) -> int:
     """Execute a parsed experiment; returns the process exit status.
 
     0 = success, 2 = validation problem, 3 = a numerical check failed,
     1 = an unexpected error, reported with its traceback on stderr, or
-    a non-finite JSON result, reported in one line naming the field
+    a non-finite result, reported in one line naming the field
     (nothing is written then).  Output lands at spec.output_path
     (atomically) or on stdout.
     """
@@ -413,253 +512,6 @@ def run(spec: ExperimentSpec) -> int:
     except Exception:
         click.echo(traceback.format_exc(), err=True, nl=False)
         return 1
-
-
-# -- click wiring ---------------------------------------------------------------
-
-
-@click.group()
-def main():
-    """Dirichlet-polynomial experiments on the polytorus."""
-
-
-def _spec_options(fn):
-    fn = click.option("--out", "output_path", type=click.Path(dir_okay=False), default=None, help="Write here instead of stdout (atomic).")(fn)
-    return fn
-
-
-def _input_options(fn):
-    fn = click.option("--in", "input_path", type=click.Path(exists=False, dir_okay=False), default=None, help="Input polynomial (JSON).")(fn)
-    fn = click.option("--gallery", "gallery_name", default=None, help="Use a gallery polynomial instead of --in.")(fn)
-    fn = click.option("--size", default=8, show_default=True, help="Gallery size parameter.")(fn)
-    fn = click.option("--sigma", default=DEFAULT_SIGMA, show_default=True, help="Gallery zeta_shift exponent.")(fn)
-    return fn
-
-
-def _sampling_options(fn):
-    fn = click.option("--samples", default=10000, show_default=True, help="Monte Carlo sample count.")(fn)
-    fn = click.option("--seed", default=0, show_default=True, help="RNG seed.")(fn)
-    fn = click.option("--scheme", type=click.Choice(list(VALID_SCHEMES)), default="iid", show_default=True, help="Torus sampling scheme.")(fn)
-    return fn
-
-
-def _dispatch(subcommand: str, output_path, fmt: str = "json", **params):
-    raise SystemExit(run(ExperimentSpec(subcommand, params, output_path, fmt)))
-
-
-@main.command(name="gallery")
-@click.option("--name", required=True, type=click.Choice(["c0", "zeta_shift", "random_pm1", "random_unimodular"]))
-@click.option("--size", default=8, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--sigma", default=DEFAULT_SIGMA, show_default=True)
-@_spec_options
-def gallery_cmd(name, size, seed, sigma, output_path):
-    """Emit a named example polynomial as JSON."""
-    _dispatch("gallery", output_path, name=name, size=size, seed=seed, sigma=sigma)
-
-
-@main.command()
-@_input_options
-@click.option("--seed", default=0, show_default=True, help="Gallery seed.")
-@_spec_options
-def lift(input_path, gallery_name, size, sigma, seed, output_path):
-    """Bohr lift: Dirichlet JSON in, power JSON out."""
-    _dispatch(
-        "lift",
-        output_path,
-        input_path=input_path,
-        gallery_name=gallery_name,
-        size=size,
-        sigma=sigma,
-        seed=seed,
-    )
-
-
-@main.command()
-@click.option("--in", "input_path", required=True, type=click.Path(dir_okay=False))
-@_spec_options
-def transform(input_path, output_path):
-    """Inverse lift: power JSON in, Dirichlet JSON out."""
-    _dispatch("transform", output_path, input_path=input_path)
-
-
-@main.command()
-@_input_options
-@click.option("--p", default="2", show_default=True, help="Exponent, a float or 'inf'.")
-@click.option("--exact", is_flag=True, help="Use the p = 2 closed form.")
-@click.option("--grid", default=64, show_default=True, help="Lattice points per coordinate for p = inf.")
-@click.option("--R", "R", type=float, default=None, help="Vertical-line half-length (switches to line estimators).")
-@click.option("--t-samples", default=4097, show_default=True, help="Vertical-line node count.")
-@_sampling_options
-@_spec_options
-def norm(input_path, gallery_name, size, sigma, p, exact, grid, R, t_samples, samples, seed, scheme, output_path):
-    """Estimate a Hardy norm; emits a NormEstimate JSON object."""
-    _dispatch(
-        "norm",
-        output_path,
-        input_path=input_path,
-        gallery_name=gallery_name,
-        size=size,
-        sigma=sigma,
-        p=p,
-        exact=exact,
-        grid=grid,
-        R=R,
-        t_samples=t_samples,
-        samples=samples,
-        seed=seed,
-        scheme=scheme,
-    )
-
-
-@main.command(name="translate")
-@_input_options
-@click.option("--z", required=True, help="Translation offset, e.g. '0.5' or '0.1+2j'.")
-@click.option("--seed", default=0, show_default=True, help="Gallery seed.")
-@_spec_options
-def translate_cmd(input_path, gallery_name, size, sigma, z, seed, output_path):
-    """Translate: multiply the coefficient at n by n^{-z}."""
-    _dispatch(
-        "translate",
-        output_path,
-        input_path=input_path,
-        gallery_name=gallery_name,
-        size=size,
-        sigma=sigma,
-        z=z,
-        seed=seed,
-    )
-
-
-@main.command(name="eps-profile")
-@_input_options
-@click.option("--p", default="2", show_default=True)
-@click.option("--eps", default=None, help="Comma-separated eps grid (default: geometric 1 .. 2^-20).")
-@_sampling_options
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@_spec_options
-def eps_profile(input_path, gallery_name, size, sigma, p, eps, samples, seed, scheme, fmt, output_path):
-    """Norm profile of the real translates D_eps (CSV: eps, value, std_error)."""
-    _dispatch(
-        "eps-profile",
-        output_path,
-        fmt,
-        input_path=input_path,
-        gallery_name=gallery_name,
-        size=size,
-        sigma=sigma,
-        p=p,
-        eps=eps,
-        samples=samples,
-        seed=seed,
-        scheme=scheme,
-    )
-
-
-@main.command()
-@click.option("--in", "input_path", required=True, type=click.Path(dir_okay=False), help="Power polynomial (JSON).")
-@click.option("--radii", required=True, help="Comma-separated radii in [0, 1).")
-@click.option("--p", default="2", show_default=True, help="Exponent for the contraction check.")
-@click.option("--grid", type=int, default=None, help="Also run the quadrature path at this node count and report the gap.")
-@_sampling_options
-@_spec_options
-def poisson(input_path, radii, p, grid, samples, seed, scheme, output_path):
-    """Radial smoothing: convolved polynomial plus the contraction check."""
-    _dispatch(
-        "poisson",
-        output_path,
-        input_path=input_path,
-        radii=radii,
-        p=p,
-        grid=grid,
-        samples=samples,
-        seed=seed,
-        scheme=scheme,
-    )
-
-
-@main.command(name="log-bound")
-@click.option("--family", required=True, type=click.Choice(["c0", "zeta_shift", "random_pm1", "random_unimodular"]))
-@click.option("--N", "n_max", default=4096, show_default=True, help="Largest truncation point (sweep doubles from 4).")
-@click.option("--p", default="inf", show_default=True)
-@click.option("--t-samples", default=8193, show_default=True)
-@click.option("--sigma", default=DEFAULT_SIGMA, show_default=True)
-@_sampling_options
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@_spec_options
-def log_bound(family, n_max, p, t_samples, sigma, samples, seed, scheme, fmt, output_path):
-    """Truncation-ratio sweep ||S_N D|| / ||D|| against log N."""
-    _dispatch(
-        "log-bound",
-        output_path,
-        fmt,
-        family=family,
-        n_max=n_max,
-        p=p,
-        t_samples=t_samples,
-        sigma=sigma,
-        samples=samples,
-        seed=seed,
-        scheme=scheme,
-    )
-
-
-@main.command(name="abel-check")
-@_input_options
-@click.option("--N", "n_start", required=True, type=int, help="Block start (1 < N < M).")
-@click.option("--M", "m_end", required=True, type=int, help="Block end (M <= max index).")
-@click.option("--eps", "eps_value", required=True, type=float, help="Damping exponent eps > 0.")
-@click.option("--seed", default=0, show_default=True, help="Gallery seed.")
-@_spec_options
-def abel_check(input_path, gallery_name, size, sigma, n_start, m_end, eps_value, seed, output_path):
-    """Summation-by-parts identity check; exits 3 when the gap exceeds 1e-12."""
-    _dispatch(
-        "abel-check",
-        output_path,
-        input_path=input_path,
-        gallery_name=gallery_name,
-        size=size,
-        sigma=sigma,
-        n_start=n_start,
-        m_end=m_end,
-        eps_value=eps_value,
-        seed=seed,
-    )
-
-
-@main.command()
-@click.option("--family", required=True, type=click.Choice(["unit-directions", "unit-directions-capped", "c0"]))
-@click.option("--size", default=5, show_default=True, help="Cap (capped family) or dimension (c0).")
-@click.option("--p", default="2", show_default=True)
-@click.option("--m-max", default=10, show_default=True)
-@click.option("--grid", default=16, show_default=True, help="Lattice points per coordinate for p = inf.")
-@_sampling_options
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@_spec_options
-def criterion(family, size, p, m_max, grid, samples, seed, scheme, fmt, output_path):
-    """Restriction-norm membership probe over m = 1..m_max."""
-    _dispatch(
-        "criterion",
-        output_path,
-        fmt,
-        family=family,
-        size=size,
-        p=p,
-        m_max=m_max,
-        grid=grid,
-        samples=samples,
-        seed=seed,
-        scheme=scheme,
-    )
-
-
-@main.command(name="cayley-check")
-@click.option("--trials", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@_spec_options
-def cayley_check(trials, seed, output_path):
-    """Disc/half-plane round trips and the Stolz-ratio identity; exits 3 past 1e-12."""
-    _dispatch("cayley-check", output_path, trials=trials, seed=seed)
 
 
 if __name__ == "__main__":

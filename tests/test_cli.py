@@ -6,7 +6,9 @@ import math
 import subprocess
 import sys
 
+import click
 import pytest
+from click.testing import CliRunner
 
 from bohrlift import DirichletPoly, bohr_lift, dumps, loads_dirichlet, loads_power
 from bohrlift import cli
@@ -248,3 +250,215 @@ def test_non_finite_result_exits_1_and_writes_nothing(tmp_path, capsys, flags):
         assert captured.out == ""
         assert captured.err == "error: non-finite value in result field 'value'\n"
     assert list(tmp_path.iterdir()) == [src]
+
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_exits_1_and_writes_nothing(tmp_path, capsys, fmt):
+    src = tmp_path / "d.json"
+    src.write_text(dumps(DirichletPoly({1: 1e308, 2: 1e308})))
+    out = tmp_path / "prof.out"
+    params = dict(input_path=str(src), p="2", eps="1,0.5", samples=100, seed=0, scheme="iid")
+    for target in (None, str(out)):
+        assert run_spec("eps-profile", target, fmt=fmt, **params) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value in result field '[0].value'\n"
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_log_bound_writes_an_infinite_p_as_inf(tmp_path):
+    params = dict(family="zeta_shift", n_max=16, p="inf", t_samples=129, sigma=0.51, samples=100, seed=0, scheme="iid")
+    json_out, csv_out = tmp_path / "lb.json", tmp_path / "lb.csv"
+    assert run_spec("log-bound", str(json_out), fmt="json", **params) == 0
+    assert run_spec("log-bound", str(csv_out), fmt="csv", **params) == 0
+    doc = json.loads(json_out.read_text())
+    header, *rows = csv.reader(csv_out.read_text().splitlines())
+    assert [row["p"] for row in doc] == ["inf"] * 3
+    assert [[str(row[column]) for column in header] for row in doc] == rows
+
+
+def test_criterion_unknown_family_exits_2(capsys):
+    code = run_spec("criterion", family="bogus", size=3, p="2", m_max=2, grid=8, samples=10, seed=0, scheme="iid")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err
+    for name in ("unit-directions", "unit-directions-capped", "c0"):
+        assert repr(name) in err
+
+# -- the click surface ----------------------------------------------------------
+# One row per option: (name, opts, default, required, is_flag, type, choices,
+# help, show_default).  A required option's default reads None: click
+# versions differ in how they mark an unset default.
+
+GALLERY_NAMES = ("c0", "zeta_shift", "random_pm1", "random_unimodular")
+OUT = ("output_path", ("--out",), None, False, False, "file", None, "Write here instead of stdout (atomic).", None)
+INPUT = {
+    ("input_path", ("--in",), None, False, False, "file", None, "Input polynomial (JSON).", None),
+    ("gallery_name", ("--gallery",), None, False, False, "text", None, "Use a gallery polynomial instead of --in.", None),
+    ("size", ("--size",), 8, False, False, "integer", None, "Gallery size parameter.", True),
+    ("sigma", ("--sigma",), 0.51, False, False, "float", None, "Gallery zeta_shift exponent.", True),
+}
+GALLERY_SEED = ("seed", ("--seed",), 0, False, False, "integer", None, "Gallery seed.", True)
+SAMPLING = {
+    ("samples", ("--samples",), 10000, False, False, "integer", None, "Monte Carlo sample count.", True),
+    ("seed", ("--seed",), 0, False, False, "integer", None, "RNG seed.", True),
+    ("scheme", ("--scheme",), "iid", False, False, "choice", ("iid", "kronecker"), "Torus sampling scheme.", True),
+}
+
+
+def fmt_row(default, choices):
+    return ("fmt", ("--format",), default, False, False, "choice", choices, None, True)
+
+
+SURFACE = {
+    "gallery": ("Emit a named example polynomial as JSON.", {
+        ("name", ("--name",), None, True, False, "choice", GALLERY_NAMES, None, None),
+        ("size", ("--size",), 8, False, False, "integer", None, None, True),
+        ("seed", ("--seed",), 0, False, False, "integer", None, None, True),
+        ("sigma", ("--sigma",), 0.51, False, False, "float", None, None, True),
+        OUT,
+    }),
+    "lift": ("Bohr lift: Dirichlet JSON in, power JSON out.", INPUT | {GALLERY_SEED, OUT}),
+    "transform": ("Inverse lift: power JSON in, Dirichlet JSON out.", {
+        ("input_path", ("--in",), None, True, False, "file", None, None, None),
+        OUT,
+    }),
+    "norm": ("Estimate a Hardy norm; emits a NormEstimate JSON object.", INPUT | SAMPLING | {
+        ("p", ("--p",), "2", False, False, "text", None, "Exponent, a float or 'inf'.", True),
+        ("exact", ("--exact",), False, False, True, "boolean", None, "Use the p = 2 closed form.", None),
+        ("grid", ("--grid",), 64, False, False, "integer", None, "Lattice points per coordinate for p = inf.", True),
+        ("R", ("--R",), None, False, False, "float", None, "Vertical-line half-length (switches to line estimators).", None),
+        ("t_samples", ("--t-samples",), 4097, False, False, "integer", None, "Vertical-line node count.", True),
+        OUT,
+    }),
+    "translate": ("Translate: multiply the coefficient at n by n^{-z}.", INPUT | {
+        ("z", ("--z",), None, True, False, "text", None, "Translation offset, e.g. '0.5' or '0.1+2j'.", None),
+        GALLERY_SEED,
+        OUT,
+    }),
+    "eps-profile": ("Norm profile of the real translates D_eps (CSV: eps, value, std_error).", INPUT | SAMPLING | {
+        ("p", ("--p",), "2", False, False, "text", None, None, True),
+        ("eps", ("--eps",), None, False, False, "text", None, "Comma-separated eps grid (default: geometric 1 .. 2^-20).", None),
+        fmt_row("csv", ("csv", "json")),
+        OUT,
+    }),
+    "poisson": ("Radial smoothing: convolved polynomial plus the contraction check.", SAMPLING | {
+        ("input_path", ("--in",), None, True, False, "file", None, "Power polynomial (JSON).", None),
+        ("radii", ("--radii",), None, True, False, "text", None, "Comma-separated radii in [0, 1).", None),
+        ("p", ("--p",), "2", False, False, "text", None, "Exponent for the contraction check.", True),
+        ("grid", ("--grid",), None, False, False, "integer", None, "Also run the quadrature path at this node count and report the gap.", None),
+        OUT,
+    }),
+    "log-bound": ("Truncation-ratio sweep ||S_N D|| / ||D|| against log N.", SAMPLING | {
+        ("family", ("--family",), None, True, False, "choice", GALLERY_NAMES, None, None),
+        ("n_max", ("--N",), 4096, False, False, "integer", None, "Largest truncation point (sweep doubles from 4).", True),
+        ("p", ("--p",), "inf", False, False, "text", None, None, True),
+        ("t_samples", ("--t-samples",), 8193, False, False, "integer", None, None, True),
+        ("sigma", ("--sigma",), 0.51, False, False, "float", None, None, True),
+        fmt_row("csv", ("csv", "json")),
+        OUT,
+    }),
+    "abel-check": ("Summation-by-parts identity check; exits 3 when the gap exceeds 1e-12.", INPUT | {
+        ("n_start", ("--N",), None, True, False, "integer", None, "Block start (1 < N < M).", None),
+        ("m_end", ("--M",), None, True, False, "integer", None, "Block end (M <= max index).", None),
+        ("eps_value", ("--eps",), None, True, False, "float", None, "Damping exponent eps > 0.", None),
+        GALLERY_SEED,
+        OUT,
+    }),
+    "criterion": ("Restriction-norm membership probe over m = 1..m_max.", SAMPLING | {
+        ("family", ("--family",), None, True, False, "choice", ("unit-directions", "unit-directions-capped", "c0"), None, None),
+        ("size", ("--size",), 5, False, False, "integer", None, "Cap (capped family) or dimension (c0).", True),
+        ("p", ("--p",), "2", False, False, "text", None, None, True),
+        ("m_max", ("--m-max",), 10, False, False, "integer", None, None, True),
+        ("grid", ("--grid",), 16, False, False, "integer", None, "Lattice points per coordinate for p = inf.", True),
+        fmt_row("json", ("json", "csv")),
+        OUT,
+    }),
+    "cayley-check": ("Disc/half-plane round trips and the Stolz-ratio identity; exits 3 past 1e-12.", {
+        ("trials", ("--trials",), 10000, False, False, "integer", None, None, True),
+        ("seed", ("--seed",), 0, False, False, "integer", None, None, True),
+        OUT,
+    }),
+}
+
+
+def surface_row(param):
+    choices = tuple(param.type.choices) if isinstance(param.type, click.Choice) else None
+    default = None if param.required else param.default
+    return (
+        param.name, tuple(param.opts), default, param.required, param.is_flag,
+        param.type.name, choices, param.help, param.show_default,
+    )
+
+
+def test_every_subcommand_has_a_handler():
+    assert set(cli.main.commands) == set(cli._HANDLERS) == set(SURFACE)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE))
+def test_cli_surface(name):
+    command = cli.main.commands[name]
+    rows = [surface_row(param) for param in command.params]
+    assert len(rows) == len(set(rows))
+    assert (command.help, set(rows)) == SURFACE[name]
+
+
+SAMPLING_DEFAULTS = dict(samples=10000, seed=0, scheme="iid")
+INPUT_DEFAULTS = dict(input_path=None, gallery_name=None, size=8, sigma=0.51)
+
+# argv after the subcommand, then the fmt and the exact params that reach the handler
+CLICK_CASES = {
+    "gallery": (["--name", "c0"], "json", dict(name="c0", size=8, seed=0, sigma=0.51)),
+    "lift": ([], "json", dict(INPUT_DEFAULTS, seed=0)),
+    "transform": (["--in", "p.json"], "json", dict(input_path="p.json")),
+    "norm": ([], "json", dict(
+        INPUT_DEFAULTS, p="2", exact=False, grid=64, R=None, t_samples=4097, **SAMPLING_DEFAULTS,
+    )),
+    "translate": (["--z", "1"], "json", dict(INPUT_DEFAULTS, z="1", seed=0)),
+    "eps-profile": ([], "csv", dict(INPUT_DEFAULTS, p="2", eps=None, **SAMPLING_DEFAULTS)),
+    "poisson": (["--in", "p.json", "--radii", "0.5"], "json", dict(
+        input_path="p.json", radii="0.5", p="2", grid=None, **SAMPLING_DEFAULTS,
+    )),
+    "log-bound": (["--family", "zeta_shift"], "csv", dict(
+        family="zeta_shift", n_max=4096, p="inf", t_samples=8193, sigma=0.51, **SAMPLING_DEFAULTS,
+    )),
+    "abel-check": (["--N", "5", "--M", "15", "--eps", "0.3"], "json", dict(
+        INPUT_DEFAULTS, n_start=5, m_end=15, eps_value=0.3, seed=0,
+    )),
+    "criterion": (["--family", "c0"], "json", dict(
+        family="c0", size=5, p="2", m_max=10, grid=16, **SAMPLING_DEFAULTS,
+    )),
+    "cayley-check": ([], "json", dict(trials=10000, seed=0)),
+}
+
+# the params perfbench's lift_roundtrip workload hands to cli.run directly
+PERFBENCH_KEYS = {
+    "gallery": {"name", "size", "seed", "sigma"},
+    "lift": {"input_path", "gallery_name", "size", "sigma", "seed"},
+    "transform": {"input_path"},
+}
+
+
+def test_click_cases_cover_every_subcommand():
+    assert set(CLICK_CASES) == set(SURFACE)
+
+
+@pytest.mark.parametrize("name", sorted(CLICK_CASES))
+def test_click_path_builds_the_spec(monkeypatch, name):
+    argv, fmt, params = CLICK_CASES[name]
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda spec: seen.append(spec) or 0)
+    result = CliRunner().invoke(cli.main, [name, *argv, "--out", "o.json"])
+    assert result.exit_code == 0, result.output
+    assert seen == [ExperimentSpec(name, params, "o.json", fmt)]
+    if name in PERFBENCH_KEYS:
+        assert set(params) == PERFBENCH_KEYS[name]
+
+
+def test_click_path_passes_format_and_exit_code(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda spec: seen.append(spec) or 3)
+    result = CliRunner().invoke(cli.main, ["criterion", "--family", "c0", "--format", "csv"])
+    assert result.exit_code == 3
+    assert seen[0].fmt == "csv" and seen[0].output_path is None
