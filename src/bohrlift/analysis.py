@@ -26,7 +26,7 @@ import numpy as np
 
 from .gallery import gallery
 from .multiindex import EMPTY_INDEX, MultiIndex
-from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp_mc
+from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp
 from .primes import factorize, index_of
 from .sampling import SamplerConfig, derive_seed
 from .series import PowerPoly, power_eval
@@ -254,12 +254,10 @@ def hilbert_criterion(
     rows = []
     for m in range(1, m_max + 1):
         Pm = materialize_family(family, m, degree_cap)
-        if p == 2.0 and family.space.euclidean:
-            est = norm_h2_exact(Pm)
-        elif math.isinf(p):
+        if math.isinf(p):
             est = norm_hinf_grid(Pm, grid_per_dim)
         else:
-            est = norm_hp_mc(Pm, p, cfg.with_seed(derive_seed(cfg.seed, m)))
+            est = norm_hp(Pm, p, cfg.with_seed(derive_seed(cfg.seed, m)))
         rows.append((m, est))
     values = [est.value for _, est in rows]
     sup_value = max(values)

@@ -145,10 +145,6 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
     return NormEstimate(value, TORUS_MC, std_error, cfg.samples, cfg.seed)
 
 
-def _constant_value(P: PowerPoly) -> float:
-    return vector_norm(P.constant_term, P.space)
-
-
 def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
     """Monte Carlo H_p estimate: (mean of ||lift(omega)||^p over samples)^{1/p}.
 
@@ -158,6 +154,13 @@ def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
     standard error.  Fixed (samples, seed, scheme) reproduce bit-for-bit.
     """
     return norm_p_limit_check(poly, [p], cfg)[0][1]
+
+
+def norm_hp(poly, p: float, cfg: SamplerConfig | None = None) -> NormEstimate:
+    """Finite-p H_p norm: exact Parseval for p = 2 with Euclidean coefficients, else Monte Carlo."""
+    if p == 2.0 and poly.space.euclidean:
+        return norm_h2_exact(poly)
+    return norm_hp_mc(poly, p, SamplerConfig() if cfg is None else cfg)
 
 
 def check_grid(grid_per_dim) -> int:
@@ -242,8 +245,6 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
         raise DimensionCapError(
             f"lattice scan over {m} coordinates exceeds the cap {dim_cap}"
         )
-    if m == 0:
-        return NormEstimate(_constant_value(P), TORUS_GRID_SUP, 0.0, 1)
     best = 0.0
     for vals in lattice_value_chunks(P, G):
         best = max(best, float(row_norms(vals, P.space).max()))
@@ -310,7 +311,7 @@ def norm_p_limit_check(D, p_grid, cfg: SamplerConfig) -> list[tuple[float, NormE
         check_p(p)
     P = _as_power(D)
     if P.width == 0:
-        c = _constant_value(P)
+        c = vector_norm(P.constant_term, P.space)
         return [(p, NormEstimate(c, EXACT_PARSEVAL, 0.0, 0, cfg.seed)) for p in ps]
     target, points, _ = sample_target(D, cfg)
     x = row_norms(evaluate(target, points), target.space)

@@ -19,14 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .norms import (
-    EXACT_PARSEVAL,
-    VERTICAL_SUP,
-    NormEstimate,
-    norm_h2_exact,
-    norm_hp_mc,
-    vertical_sup,
-)
+from .norms import NormEstimate, norm_h2_exact, norm_hp, vertical_sup
 from .sampling import SamplerConfig, derive_seed
 from .series import DirichletPoly, max_coeff_gap, partial_sum
 from .spaces import vector_norm
@@ -119,12 +112,13 @@ def log_bound_experiment(
 ) -> list[LogBoundRow]:
     """Truncation-ratio sweep ||S_N D|| / ||D|| for D = family(max(Ns)).
 
-    Estimators by exponent: p = 2 uses the exact Parseval value, p =
-    infinity uses the vertical-line sup scan with half-length R =
-    r_per_n * N (and R = r_per_n * max index for the denominator), any
-    other finite p uses Monte Carlo with the per-row seed derived as
-    seed XOR row index.  Rows report ratio and ratio / log N; the log-
-    bound principle says the latter stays bounded across the sweep.
+    Estimators by exponent: p = infinity uses the vertical-line sup scan
+    with half-length R = r_per_n * N (and R = r_per_n * max index for
+    the denominator), finite p uses `norm_hp` (exact Parseval at p = 2
+    with Euclidean coefficients, else Monte Carlo with the per-row seed
+    derived as seed XOR row index).  Rows report ratio and ratio /
+    log N; the log-bound principle says the latter stays bounded across
+    the sweep.
     """
     Ns = [int(N) for N in Ns]
     if not Ns or any(N < 2 for N in Ns):
@@ -137,31 +131,18 @@ def log_bound_experiment(
     if len(D) == 0:
         raise ValueError("family produced the zero polynomial")
 
-    use_exact = p == 2.0 and D.space.euclidean
-    if use_exact:
-        denom = norm_h2_exact(D)
-    elif math.isinf(p):
-        denom = vertical_sup(D, r_per_n * max(D.max_index, 2), t_samples)
-    else:
-        denom = norm_hp_mc(D, p, cfg)
+    def estimate(S: DirichletPoly, R: float, cfg: SamplerConfig) -> NormEstimate:
+        return vertical_sup(S, R, t_samples) if math.isinf(p) else norm_hp(S, p, cfg)
 
+    denom = estimate(D, r_per_n * max(D.max_index, 2), cfg)
     rows = []
     for row_idx, N in enumerate(Ns):
-        S = partial_sum(D, N)
-        if use_exact:
-            num = norm_h2_exact(S)
-            method = EXACT_PARSEVAL
-        elif math.isinf(p):
-            num = vertical_sup(S, r_per_n * N, t_samples)
-            method = VERTICAL_SUP
-        else:
-            num = norm_hp_mc(S, p, cfg.with_seed(derive_seed(cfg.seed, row_idx)))
-            method = num.method
+        num = estimate(partial_sum(D, N), r_per_n * N, cfg.with_seed(derive_seed(cfg.seed, row_idx)))
         ratio = num.value / denom.value
         if num.value > 0 and denom.value > 0:
             rel = math.hypot(num.std_error / num.value, denom.std_error / denom.value)
             se = ratio * rel
         else:
             se = 0.0
-        rows.append(LogBoundRow(N, ratio, ratio / math.log(N), float(p), method, se))
+        rows.append(LogBoundRow(N, ratio, ratio / math.log(N), float(p), num.method, se))
     return rows

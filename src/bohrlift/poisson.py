@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
-from .norms import NormEstimate, check_grid, lattice_value_chunks, norm_h2_exact, norm_hp_mc
+from .norms import NormEstimate, check_grid, lattice_value_chunks, norm_hp
 from .sampling import SamplerConfig
 from .series import PowerPoly
 
@@ -217,8 +217,4 @@ def contraction_check(
     standard errors.
     """
     Fr = poisson_convolve_exact(P, r)
-    if p == 2.0 and P.space.euclidean:
-        return norm_h2_exact(Fr), norm_h2_exact(P)
-    if cfg is None:
-        cfg = SamplerConfig()
-    return norm_hp_mc(Fr, p, cfg), norm_hp_mc(P, p, cfg)
+    return norm_hp(Fr, p, cfg), norm_hp(P, p, cfg)

@@ -4,6 +4,12 @@ Every integer n >= 1 factors uniquely as prod_j p_j^alpha_j over the
 increasing primes p_1 = 2, p_2 = 3, ...; the exponent sequence is the
 multi-index of n.  `factorize` and `index_of` realize the two directions.
 
+`factorize` walks the smallest-prime-factor chain of an n the factor
+table covers, growing the table to n when n is under the cap.  A larger
+n is split by `trial_factors`, the package's one trial division, over
+the table's primes; a cofactor left past the table grows the table to
+it, or fails loudly past the cap.
+
 The sieve is a process-wide smallest-prime-factor table that grows on
 demand (amortized doubling) and never shrinks.  Growth happens under a
 lock and installs fresh arrays atomically, so concurrent readers always
@@ -85,14 +91,6 @@ def primes_up_to(x: int) -> list[int]:
     return _primes[: bisect_right(_primes, x)]
 
 
-def prime_count(x: int) -> int:
-    """pi(x), the number of primes <= x."""
-    if x < 2:
-        return 0
-    _grow(x)
-    return bisect_right(_primes, x)
-
-
 def nth_prime(position: int) -> int:
     """The prime at 0-based position: nth_prime(0) = 2, nth_prime(2) = 5."""
     if position < 0:
@@ -105,13 +103,34 @@ def nth_prime(position: int) -> int:
     return _primes[position]
 
 
+def trial_factors(n: int, primes) -> tuple[tuple[int, int], ...]:
+    """(base, exponent) pairs with increasing bases whose product of powers is n.
+
+    The bases are the primes of `primes` that divide n, then the
+    cofactor left after them, if any (prime unless `primes` ran out
+    below its square root, and a valid base either way).
+    """
+    pairs = []
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
 def factorize(n: int) -> MultiIndex:
     """Exponent multi-index of n: factorize(1) = (), factorize(360) = (3, 2, 1).
 
-    Rejects n < 1; n = 0 has no factorization.  Indices inside the
-    factor table walk the smallest-prime-factor chain; larger ones are
-    peeled by trial division, so any n whose prime factors fit under
-    the sieve cap factors fine no matter how large n itself is.
+    Rejects n < 1; n = 0 has no factorization.  Takes one of the two
+    paths in the module docstring, so any n whose prime factors fit
+    under the sieve cap factors, however large n itself is.
     """
     n = int(n)
     if n < 1:
@@ -120,26 +139,27 @@ def factorize(n: int) -> MultiIndex:
         raise IndexRangeError(f"{n} is beyond the 64-bit index range")
     if n == 1:
         return EMPTY_INDEX
-    m = n
-    if m > _limit and m <= _size_cap():
-        _grow(m)
-    found: list[tuple[int, int]] = []
-    if m > _limit:
+    if n > _limit:  # the cap is read only off the table, where it matters
         cap = _size_cap()
-        bound = min(math.isqrt(m), cap)
-        _grow(bound)
-        for p in _primes:
-            if p > bound or m <= _limit:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                found.append((p, e))
-                bound = min(math.isqrt(m), cap)
+        if n <= cap:
+            _grow(n)
+    if n <= _limit:
+        found = []
+        spf = _spf
+        while n > 1:
+            p = spf.item(n)
+            e = 1
+            n //= p
+            while n % p == 0:
+                e += 1
+                n //= p
+            found.append((p, e))
+    else:
+        _grow(min(math.isqrt(n), cap))
+        found = trial_factors(n, _primes)
+        m = found[-1][0]
         if m > _limit:
-            # no factor up to min(sqrt(m), cap): m is prime, or its
+            # no table prime up to sqrt(m) divides m: m is prime, or its
             # factors all exceed the cap; either way its position needs
             # the prime table out to m
             if m > cap:
@@ -148,16 +168,6 @@ def factorize(n: int) -> MultiIndex:
                     f"raise {SIEVE_CAP_ENV} to allow it"
                 )
             _grow(m)
-    spf = _spf
-    while m > 1:
-        p = spf.item(m)
-        e = 1
-        m //= p
-        while m % p == 0:
-            e += 1
-            m //= p
-        found.append((p, e))
-    found.sort()
     primes = _primes
     pairs = tuple((bisect_left(primes, p), e) for p, e in found)
     return MultiIndex._trusted(pairs)

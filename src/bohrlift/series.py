@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .multiindex import EMPTY_INDEX, MultiIndex
-from .primes import MAX_INDEX, factorize, index_of, primes_up_to
+from .primes import MAX_INDEX, factorize, index_of, primes_up_to, trial_factors
 from .spaces import CoeffSpace, SCALAR, as_coeff_array, vector_norm
 
 
@@ -237,34 +237,12 @@ def coeff_matrix(poly) -> np.ndarray:
     return np.array([poly[k] for k in keys], dtype=np.complex128)
 
 
-def _integer_factors(n: int, primes: list[int]) -> tuple[tuple[int, int], ...]:
-    """(base, exponent) pairs with increasing bases whose product of powers is n.
-
-    The bases are the primes of `primes` that divide n, then the
-    cofactor left after them, if any (prime unless `primes` ran out
-    below its square root, and a valid base either way).
-    """
-    pairs = []
-    for p in primes:
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-    if n > 1:
-        pairs.append((n, 1))
-    return tuple(pairs)
-
-
 def monomial_map(poly):
     """Multiplicative plan for poly's monomials: (points per chunk, map from points to monomials).
 
     A monomial is a product of factor powers: z_j^e with z_j =
     exp(i theta_j) at torus angles theta of shape (S, >= width) for a
-    PowerPoly, (b^e)^{-it} over the factors b^e of n (`_integer_factors`)
+    PowerPoly, (b^e)^{-it} over the factors b^e of n (`trial_factors`)
     at line times t of shape (S,) for a DirichletPoly.  A term whose
     prefix, the term without its last factor power, is a term too is
     that prefix times the power when the power's value serves more than
@@ -281,7 +259,7 @@ def monomial_map(poly):
         support = [alpha.pairs for alpha in poly.indices()]
     else:
         primes = primes_up_to(min(math.isqrt(poly.max_index), _TRIAL_PRIMES))
-        support = [_integer_factors(n, primes) for n in poly.indices()]
+        support = [trial_factors(n, primes) for n in poly.indices()]
     members = set(support)
     chained = [alpha for alpha in support if len(alpha) > 1 and alpha[:-1] in members]
     # a power that is itself a term is a base value already

@@ -29,7 +29,7 @@ from .norms import (
 )
 from .primes import factorize, index_of
 from .sampling import SamplerConfig
-from .series import DirichletPoly, bohr_lift, coeff_matrix, evaluate
+from .series import DirichletPoly, coeff_matrix, evaluate
 from .spaces import row_norms, vector_norm
 
 #: Default geometric grid 1, 1/2, ..., 2^-20 for the epsilon profile.
@@ -99,15 +99,16 @@ def twist(D: DirichletPoly, theta: TwistPoint) -> DirichletPoly:
     twisting by the conjugate point undoes it.  Since each factor is
     unimodular, all Hardy norms are unchanged.
     """
-    P = bohr_lift(D)
-    if len(theta) < P.width:
+    terms = [(n, v, factorize(n)) for n, v in D.items()]
+    width = max((alpha.width for _, _, alpha in terms), default=0)
+    if len(theta) < width:
         raise ValueError(
-            f"twist point has {len(theta)} angles but the support uses {P.width} primes"
+            f"twist point has {len(theta)} angles but the support uses {width} primes"
         )
     out = {}
-    for n, v in D.items():
+    for n, v, alpha in terms:
         w = 1.0 + 0.0j
-        for pos, e in factorize(n).pairs:
+        for pos, e in alpha.pairs:
             w *= theta.angles[pos] ** e
         out[n] = v * w
     return DirichletPoly(out, D.space)

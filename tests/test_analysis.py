@@ -193,6 +193,18 @@ def test_criterion_mc_path():
         assert b >= a - 4 * (ea + eb)
 
 
+def test_criterion_rows_name_their_estimator():
+    cfg = SamplerConfig(samples=500, seed=2)
+
+    def methods(family, p, **kw):
+        return {est.method for _, est in hilbert_criterion(family, p, 3, cfg, **kw).per_m}
+
+    assert methods(unit_direction_family(3), 2.0) == {"exact_parseval"}
+    # linf in dimension 4 is not Euclidean, so p = 2 has no closed form
+    assert methods(c0_style_family(4), 2.0) == {"torus_mc"}
+    assert methods(unit_direction_family(3), math.inf, grid_per_dim=4) == {"torus_grid_sup"}
+
+
 def test_custom_family_via_dataclass():
     def gen(alpha):
         return 1.0 if alpha.degree <= 1 else 0.0

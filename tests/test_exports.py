@@ -14,3 +14,10 @@ def test_replayed_stages_stay_exported():
     assert {"torus_angles", "power_values_at_angles", "dirichlet_line_values", "pairwise_mean", "pairwise_sum"} <= names
     assert sorted(names - set(bohrlift.__all__)) == []
     assert callable(bohrlift.spaces.row_norms)
+
+
+def test_all_names_are_bound_once():
+    # a typo in __all__ breaks `from bohrlift import *` and blanks a replayed stage
+    names = bohrlift.__all__
+    assert [name for name in names if not hasattr(bohrlift, name)] == []
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []

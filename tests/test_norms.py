@@ -177,6 +177,12 @@ def test_constant_power_poly():
     assert norm_hinf_grid(P, 4).value == pytest.approx(math.sqrt(5.0))
 
 
+def test_hinf_grid_of_a_constant_scans_the_one_point_lattice():
+    for P, value in ((PowerPoly({}), 0.0), (PowerPoly({EMPTY_INDEX: [3.0, -4.0]}), 5.0)):
+        est = norm_hinf_grid(P, 7)
+        assert (est.value, est.method, est.samples) == (value, "torus_grid_sup", 1)
+
+
 @pytest.mark.parametrize(
     "D, cfg",
     [

@@ -104,6 +104,13 @@ def test_log_bound_mc_rows():
     assert all(r.std_error > 0.0 for r in rows)
 
 
+def test_log_bound_non_euclidean_p2_rows_are_monte_carlo():
+    rows = log_bound_experiment(
+        lambda s: gallery("c0", s), 2.0, [4, 8], SamplerConfig(samples=500, seed=1)
+    )
+    assert [r.method for r in rows] == ["torus_mc", "torus_mc"]
+
+
 def test_log_bound_validation():
     with pytest.raises(ValueError):
         log_bound_experiment(lambda s: gallery("zeta_shift", s), 2.0, [])

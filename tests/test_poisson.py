@@ -153,6 +153,12 @@ def test_l4_contraction_mc():
     assert lhs.method == "torus_mc"
 
 
+def test_contraction_check_rejects_p_infinity():
+    P = bohr_lift(DirichletPoly({1: 1.0, 2: 0.5}))
+    with pytest.raises(ValueError):
+        contraction_check(P, RadiusVector([0.5]), math.inf)
+
+
 def test_smoothing_shrinks_high_degrees_most():
     P = bohr_lift(DirichletPoly({2: 1.0, 4: 1.0, 8: 1.0}))
     E = poisson_convolve_exact(P, RadiusVector([0.5]))

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrlift import EMPTY_INDEX, MAX_INDEX, MultiIndex, factorize, index_of, nth_prime, primes_up_to
-from bohrlift.errors import IndexRangeError
+from bohrlift.errors import IndexRangeError, SieveCapError
+from bohrlift.primes import SIEVE_CAP_ENV, trial_factors
 
 
 def test_factorize_known_values():
@@ -78,6 +79,30 @@ def test_prime_past_cap_fails_loudly():
 
     with pytest.raises(SieveCapError):
         factorize(2**61 - 1)  # Mersenne prime, far past any sane table
+
+
+def test_trial_factors_ends_with_the_cofactor():
+    assert trial_factors(360, [2, 3, 5, 7]) == ((2, 3), (3, 2), (5, 1))
+    assert trial_factors(2 * 7 * 11, [2, 3]) == ((2, 1), (77, 1))  # primes ran out below sqrt(77)
+    assert trial_factors(1, [2]) == ()
+
+
+def test_giant_with_a_prime_cofactor_under_the_cap_grows_the_table():
+    # 16777213 is the largest prime below 2^24, the default cap
+    assert factorize(3 * 16777213).pairs == ((1, 1), (1077870, 1))
+
+
+def test_two_prime_factors_past_the_cap_raise():
+    with pytest.raises(SieveCapError, match="needs primes near 281476922870851, past the cap"):
+        factorize(16777259 * 16777289)
+
+
+def test_lowered_cap_still_factors_what_the_table_covers(monkeypatch):
+    primes_up_to(10**6)
+    monkeypatch.setenv(SIEVE_CAP_ENV, "1024")
+    assert factorize(999983 * 2**25).pairs == ((0, 25), (78497, 1))
+    # 2003 lies past the lowered cap but inside the table
+    assert factorize(2003 * 999983 * 2**25).pairs == ((0, 25), (303, 1), (78497, 1))
 
 
 def test_degree_additivity(rng):

@@ -71,7 +71,7 @@ def test_twist_preserves_h2(rng):
 
 def test_twist_needs_coverage():
     D = DirichletPoly({5: 1.0})  # needs 3 coordinates
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="twist point has 1 angles but the support uses 3 primes"):
         twist(D, TwistPoint.from_phases([0.1]))
 
 
