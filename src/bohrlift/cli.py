@@ -8,8 +8,10 @@ does the work, writes the result atomically (temp file + rename) and
 returns the exit status: 0 on success, 2 on any validation problem (bad
 flags, unreadable or malformed input), 3 when a numerical check fails, 1
 on an unexpected error (traceback on stderr) or on a non-finite result
-(one line naming the field).  `_emit` writes JSON objects or CSV tables
-with fixed columns; seeds default to 0 and are echoed in JSON estimates.
+(one line naming the field).  Polynomials are written as one compact
+JSON line (`serialize.dumps`); `_emit` writes result payloads as
+indented JSON or CSV tables with fixed columns; seeds default to 0 and
+are echoed in JSON estimates.
 """
 
 from __future__ import annotations
@@ -47,12 +49,7 @@ from .norms import (
 from .partial_sums import abel_identity_check, log_bound_experiment
 from .poisson import RadiusVector, contraction_check, poisson_convolve_exact, poisson_convolve_numeric
 from .sampling import SamplerConfig, VALID_SCHEMES
-from .serialize import (
-    dirichlet_to_dict,
-    loads_dirichlet,
-    loads_power,
-    power_to_dict,
-)
+from .serialize import dumps, loads_dirichlet, loads_power, power_to_dict
 from .series import bohr_lift, bohr_transform, max_coeff_gap
 from .translations import eps_norm_profile, translate
 
@@ -237,21 +234,21 @@ def _handle_gallery(spec: ExperimentSpec):
         seed=spec.params["seed"],
         sigma=spec.params["sigma"],
     )
-    return _json_text(dirichlet_to_dict(D)), 0
+    return dumps(D) + "\n", 0
 
 
 @_command("lift", *_INPUT, _GALLERY_SEED)
 def _handle_lift(spec: ExperimentSpec):
     """Bohr lift: Dirichlet JSON in, power JSON out."""
     D = _load_dirichlet(spec.params)
-    return _json_text(power_to_dict(bohr_lift(D))), 0
+    return dumps(bohr_lift(D)) + "\n", 0
 
 
 @_command("transform", click.Option(["--in", "input_path"], required=True, type=click.Path(dir_okay=False)))
 def _handle_transform(spec: ExperimentSpec):
     """Inverse lift: power JSON in, Dirichlet JSON out."""
     P = _load_power(spec.params)
-    return _json_text(dirichlet_to_dict(bohr_transform(P))), 0
+    return dumps(bohr_transform(P)) + "\n", 0
 
 
 @_command(
@@ -298,7 +295,7 @@ def _handle_translate(spec: ExperimentSpec):
         z = complex(spec.params["z"].replace(" ", ""))
     except ValueError as exc:
         raise ValueError(f"cannot parse --z from {spec.params['z']!r}") from exc
-    return _json_text(dirichlet_to_dict(translate(D, z))), 0
+    return dumps(translate(D, z)) + "\n", 0
 
 
 @_command(

@@ -13,6 +13,7 @@ hashing and ordering follow the dense tuple semantics.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 
@@ -20,14 +21,12 @@ class MultiIndex:
     __slots__ = ("_pairs",)
 
     def __init__(self, exponents: Iterable[int] = ()):
-        pairs = []
-        for pos, e in enumerate(exponents):
-            e = int(e)
-            if e < 0:
-                raise ValueError(f"exponents must be non-negative, got {e} at position {pos}")
-            if e:
-                pairs.append((pos, e))
-        self._pairs = tuple(pairs)
+        # C-level passes: exponent lists are long and mostly zeros
+        dense = list(map(int, exponents))
+        if dense and min(dense) < 0:
+            pos, e = next((pos, e) for pos, e in enumerate(dense) if e < 0)
+            raise ValueError(f"exponents must be non-negative, got {e} at position {pos}")
+        self._pairs = tuple(compress(enumerate(dense), dense))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "MultiIndex":
@@ -101,9 +100,16 @@ class MultiIndex:
     def __hash__(self) -> int:
         return hash(self._pairs)
 
+    def order_key(self) -> tuple[tuple[int, int], ...]:
+        """Sort key of the dense lexicographic order, built without the dense tuples.
+
+        At the first differing pair, the nonzero entry at the earlier position is the larger.
+        """
+        return tuple([(-pos, e) for pos, e in self._pairs])
+
     def __lt__(self, other: "MultiIndex") -> bool:
-        # dense lexicographic order, used only to fix serialization order
-        return self.exponents < other.exponents
+        # dense lexicographic order; sorts pass key=MultiIndex.order_key instead
+        return self.order_key() < other.order_key()
 
     def __bool__(self) -> bool:
         return bool(self._pairs)

@@ -6,9 +6,10 @@ multi-index of n.  `factorize` and `index_of` realize the two directions.
 
 `factorize` walks the smallest-prime-factor chain of an n the factor
 table covers, growing the table to n when n is under the cap.  A larger
-n is split by `trial_factors`, the package's one trial division, over
-the table's primes; a cofactor left past the table grows the table to
-it, or fails loudly past the cap.
+n is split by `trial_factors`, the package's one trial division: over
+the primes below 2^16, then over the larger table primes that divide
+what is left, found by one vector remainder; a cofactor left past the
+table grows the table to it, or fails loudly past the cap.
 
 The sieve is a process-wide smallest-prime-factor table that grows on
 demand (amortized doubling) and never shrinks.  Growth happens under a
@@ -24,6 +25,7 @@ import math
 import os
 import threading
 from bisect import bisect_left, bisect_right
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +41,7 @@ _DEFAULT_CAP = 1 << 24
 _lock = threading.Lock()
 _spf = np.zeros(2, dtype=np.int32)
 _primes: list[int] = []
+_prime_array = np.zeros(0, dtype=np.int64)  # _primes as int64, for vector remainders
 _limit = 1
 
 
@@ -54,7 +57,7 @@ def _size_cap() -> int:
 
 def _grow(target: int) -> None:
     """Extend the smallest-prime-factor table to cover [2, target]."""
-    global _spf, _primes, _limit
+    global _spf, _primes, _prime_array, _limit
     with _lock:
         if target <= _limit:
             return
@@ -72,9 +75,10 @@ def _grow(target: int) -> None:
         tail = spf[2:]
         unset = tail == 0
         tail[unset] = np.arange(2, limit + 1, dtype=np.int32)[unset]
-        primes = (np.flatnonzero(tail == np.arange(2, limit + 1, dtype=np.int32)) + 2).tolist()
+        prime_array = np.flatnonzero(tail == np.arange(2, limit + 1, dtype=np.int32)).astype(np.int64) + 2
         _spf = spf
-        _primes = primes
+        _primes = prime_array.tolist()
+        _prime_array = prime_array
         _limit = limit
 
 
@@ -156,8 +160,15 @@ def factorize(n: int) -> MultiIndex:
             found.append((p, e))
     else:
         _grow(min(math.isqrt(n), cap))
-        found = trial_factors(n, _primes)
+        k = bisect_right(_primes, 1 << 16)
+        found = trial_factors(n, islice(_primes, k))  # stops early on smooth n
         m = found[-1][0]
+        if m > _primes[k - 1] ** 2:
+            # small primes ran out below sqrt(m): a vector remainder (m fits int64)
+            # finds the larger table primes dividing m, the only ones tried
+            table = _prime_array[k : bisect_right(_primes, math.isqrt(m))]
+            found = found[:-1] + trial_factors(m, table[m % table == 0].tolist())
+            m = found[-1][0]
         if m > _limit:
             # no table prime up to sqrt(m) divides m: m is prime, or its
             # factors all exceed the cap; either way its position needs

@@ -93,10 +93,11 @@ def power_from_dict(obj: Any) -> PowerPoly:
 
 
 def dumps(poly) -> str:
+    """One-line JSON document of a polynomial (no indent, so CPython's C encoder runs)."""
     if isinstance(poly, DirichletPoly):
-        return json.dumps(dirichlet_to_dict(poly), indent=2)
+        return json.dumps(dirichlet_to_dict(poly), allow_nan=False)
     if isinstance(poly, PowerPoly):
-        return json.dumps(power_to_dict(poly), indent=2)
+        return json.dumps(power_to_dict(poly), allow_nan=False)
     raise TypeError(f"cannot serialize {type(poly).__name__}")
 
 

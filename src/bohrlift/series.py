@@ -158,6 +158,9 @@ class PowerPoly(_SparsePoly):
     def _key(alpha) -> MultiIndex:
         return alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
 
+    def indices(self) -> list:
+        return sorted(self._coeffs, key=MultiIndex.order_key)
+
     @property
     def width(self) -> int:
         """Smallest m such that every stored index lives on the first m coordinates."""

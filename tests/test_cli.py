@@ -41,6 +41,26 @@ def test_lift_and_transform_roundtrip(tmp_path):
     assert loads_dirichlet(back.read_text()) == D
 
 
+def test_polynomials_travel_compact_and_results_stay_indented(tmp_path):
+    D = DirichletPoly({1: 1.0, 2: 2.0, 6: 3.0, 97: -1.5j})
+    src = tmp_path / "d.json"
+    src.write_text(dumps(D))
+    lifted = tmp_path / "p.json"
+    assert run_spec("lift", str(lifted), input_path=str(src)) == 0
+    text = lifted.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert loads_power(text) == bohr_lift(D)
+    out = tmp_path / "n.json"
+    code = run_spec(
+        "norm", str(out), input_path=str(src), p="2", exact=True,
+        grid=64, R=None, t_samples=4097, samples=100, seed=0, scheme="iid",
+    )
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert text.count("\n") > 1
+
+
 def test_norm_exact(tmp_path):
     src = tmp_path / "d.json"
     src.write_text(dumps(DirichletPoly({1: 3.0, 4: 4.0})))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlift import EMPTY_INDEX, MultiIndex
+from bohrlift import EMPTY_INDEX, MultiIndex, bohr_lift, gallery
 
 
 def test_empty_index():
@@ -51,6 +51,9 @@ def test_from_pairs_validation():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         MultiIndex((1, -2))
+    # the first negative entry is named, not the smallest
+    with pytest.raises(ValueError, match=r"got -1 at position 2$"):
+        MultiIndex((3, 0, -1, -7))
 
 
 def test_ordering_is_dense_lex():
@@ -58,6 +61,29 @@ def test_ordering_is_dense_lex():
     b = MultiIndex((2,))
     assert a < b
     assert sorted([b, a]) == [a, b]
+
+
+# sparse indices with early and late coordinates; each one's prefixes join the sample
+_sparse = st.dictionaries(
+    st.one_of(st.integers(0, 6), st.integers(400, 900)), st.integers(1, 3), max_size=5
+).map(lambda d: MultiIndex.from_pairs(sorted(d.items())))
+
+
+@settings(max_examples=200)
+@given(st.lists(_sparse, max_size=12))
+def test_order_key_gives_the_dense_lex_order(indices):
+    keys = [EMPTY_INDEX]
+    for alpha in indices:
+        keys += [MultiIndex.from_pairs(alpha.pairs[:k]) for k in range(1, len(alpha.pairs) + 1)]
+    by_lt = sorted(keys)
+    assert by_lt == sorted(keys, key=MultiIndex.order_key)
+    assert [a.exponents for a in by_lt] == sorted(a.exponents for a in keys)
+
+
+def test_power_indices_keep_the_dense_lex_order_on_a_wide_lift():
+    P = bohr_lift(gallery("random_unimodular", 3000, seed=1))
+    assert P.width > 400
+    assert P.indices() == sorted(P.coeffs, key=lambda alpha: alpha.exponents)
 
 
 def test_hash_and_dict_keys():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bohrlift import EMPTY_INDEX, MAX_INDEX, MultiIndex, factorize, index_of, nth_prime, primes_up_to
 from bohrlift.errors import IndexRangeError, SieveCapError
+from bohrlift import primes as primes_module
 from bohrlift.primes import SIEVE_CAP_ENV, trial_factors
 
 
@@ -85,6 +86,45 @@ def test_trial_factors_ends_with_the_cofactor():
     assert trial_factors(360, [2, 3, 5, 7]) == ((2, 3), (3, 2), (5, 1))
     assert trial_factors(2 * 7 * 11, [2, 3]) == ((2, 1), (77, 1))  # primes ran out below sqrt(77)
     assert trial_factors(1, [2]) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12))
+def test_trial_factors_needs_only_the_primes_that_divide(n):
+    # factorize past the table trial-divides by the dividing table primes alone
+    primes = primes_up_to(2000)  # runs out below sqrt(n) for the larger n
+    assert trial_factors(n, primes) == trial_factors(n, [p for p in primes if n % p == 0])
+
+
+def test_past_the_table_only_dividing_primes_are_tried(monkeypatch):
+    monkeypatch.setenv(SIEVE_CAP_ENV, str(1 << 21))  # keeps the table cheap to grow
+    seen = []
+
+    def recording(n, primes):  # keeps the primes trial division takes
+        tried = []
+        seen.append(tried)
+        return trial_factors(n, (tried.append(p) or p for p in primes))
+
+    monkeypatch.setattr(primes_module, "trial_factors", recording)
+    # smooth: the primes below 2^16 finish the job, stopping at the first
+    # prime past the square root of what is left
+    assert factorize(2**62).pairs == ((0, 62),)
+    assert seen == [[2, 3]]
+    # 65537 is the first prime past 2^16; the larger table primes are
+    # searched by a vector remainder and only the one dividing n is tried
+    seen.clear()
+    assert factorize(8 * 65537 * 1000003).pairs == ((0, 3), (6542, 1), (78498, 1))
+    assert [len(primes) for primes in seen] == [6542, 1] and seen[1] == [65537]
+    # no table prime divides the cofactor, and the error text names it as before
+    seen.clear()
+    n = 2**5 * 3 * 16777259 * 16777289
+    with pytest.raises(SieveCapError) as info:
+        factorize(n)
+    assert str(info.value) == (
+        f"factorize({n}) needs primes near 281476922870851, past the cap {1 << 21}; "
+        f"raise {SIEVE_CAP_ENV} to allow it"
+    )
+    assert seen[-1] == []
 
 
 def test_giant_with_a_prime_cofactor_under_the_cap_grows_the_table():

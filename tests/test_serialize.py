@@ -14,9 +14,11 @@ from bohrlift import (
     PowerPoly,
     bohr_lift,
     dumps,
+    gallery,
     loads_dirichlet,
     loads_power,
 )
+from bohrlift.serialize import dirichlet_to_dict, power_to_dict
 from conftest import random_dirichlet
 
 
@@ -29,6 +31,39 @@ def test_dirichlet_roundtrip(rng):
 def test_power_roundtrip(rng):
     P = bohr_lift(random_dirichlet(rng, max_index=500, dim=3))
     assert loads_power(dumps(P)) == P
+
+
+def _wide_vector_poly():
+    rng = np.random.default_rng(7)
+    ns = [4999, *rng.choice(np.arange(1, 5000), size=400, replace=False).tolist()]  # 4999 is the 669th prime
+    return DirichletPoly({n: rng.standard_normal(3) + 1j * rng.standard_normal(3) for n in ns}, CoeffSpace(3, "linf"))
+
+
+@pytest.mark.parametrize("make", [lambda: gallery("random_unimodular", 3000, seed=3), _wide_vector_poly])
+def test_wide_roundtrip_is_exact_and_only_whitespace_moved(make):
+    D = make()
+    P = bohr_lift(D)
+    assert P.width > 400
+    for poly, to_dict, load in ((D, dirichlet_to_dict, loads_dirichlet), (P, power_to_dict, loads_power)):
+        text = dumps(poly)
+        assert "\n" not in text
+        assert load(text) == poly
+        # same content, coefficient order included, as the indented encoding
+        assert json.loads(text) == json.loads(json.dumps(to_dict(poly), indent=2))
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ("[0, -1, -5]", "exponents must be non-negative, got -1 at position 1"),
+        ("[false, true]", "'alpha' must be a list of integers, got [False, True]"),
+        ("[1, 2.0]", "'alpha' must be a list of integers, got [1, 2.0]"),
+    ],
+)
+def test_exponent_rejections_keep_their_messages(alpha, message):
+    with pytest.raises(ValueError) as info:
+        loads_power(_doc(f'"alpha": {alpha}'))
+    assert str(info.value) == message
 
 
 def test_schema_shape():
