@@ -33,9 +33,9 @@ from .series import (
     _CHUNK_ENTRIES,
     DirichletPoly,
     PowerPoly,
+    _line_grid_values,
     bohr_lift,
     coeff_matrix,
-    dirichlet_line_values,
     evaluate,
 )
 from .spaces import row_norms, vector_norm
@@ -56,8 +56,8 @@ class NormEstimate:
 
     ``std_error`` is zero exactly when the method is deterministic
     (exact formula, lattice scan, or line quadrature).  ``R`` records
-    the vertical-line half-length for the line estimators and is pure
-    metadata, not part of the serialized form.
+    the vertical-line half-length of the line estimators; the
+    serialized form carries it only when it is set.
     """
 
     value: float
@@ -68,13 +68,16 @@ class NormEstimate:
     R: float | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "value": self.value,
             "method": self.method,
             "std_error": self.std_error,
             "samples": self.samples,
             "seed": self.seed,
         }
+        if self.R is not None:
+            out["R"] = self.R
+        return out
 
 
 def _as_power(poly) -> PowerPoly:
@@ -163,18 +166,18 @@ def norm_hp(poly, p: float, cfg: SamplerConfig | None = None) -> NormEstimate:
     return norm_hp_mc(poly, p, SamplerConfig() if cfg is None else cfg)
 
 
-def check_grid(grid_per_dim) -> int:
-    """The lattice's nodes per coordinate as a Python int, or a ValueError/TypeError.
+def check_count(value, name: str, least: int) -> int:
+    """A node count of at least `least` as a Python int, or a ValueError/TypeError.
 
     Only integers count: a float such as 16.5, a bool, or a string has
     no meaning as a node count, and a numpy integer is returned as int
     so that estimates stay JSON-encodable.
     """
-    if isinstance(grid_per_dim, bool) or not isinstance(grid_per_dim, numbers.Integral):
-        raise TypeError(f"grid_per_dim must be an integer, got {grid_per_dim!r}")
-    if grid_per_dim < 1:
-        raise ValueError("grid_per_dim must be at least 1")
-    return int(grid_per_dim)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
 
 
 def _axis_table(grid: int, n: int) -> np.ndarray:
@@ -238,7 +241,7 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     which folds exponents mod G, so any integer G >= 1 is valid.  The
     lift width is capped to keep the G^m lattice enumerable.
     """
-    G = check_grid(grid_per_dim)
+    G = check_count(grid_per_dim, "grid_per_dim", 1)
     P = _as_power(poly)
     m = P.width
     if m > dim_cap:
@@ -251,15 +254,20 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**m)
 
 
-def _line_norms(D: DirichletPoly, R: float, t_samples: int) -> tuple[np.ndarray, float]:
+def _line_norms(D: DirichletPoly, R: float, t_samples) -> tuple[np.ndarray, float, float, int]:
+    """Norms of D at the t_samples centred nodes of [-R, R], spacing h = 2R/(t_samples - 1).
+
+    Returns the norms, h, and R and t_samples as a Python float and
+    int.  R must be finite and positive, and t_samples an integer of at
+    least 2 (see `check_count`).
+    """
     if not isinstance(D, DirichletPoly):
         raise TypeError("vertical-line estimators need a Dirichlet polynomial")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    if t_samples < 2:
-        raise ValueError("t_samples must be at least 2")
-    t = np.linspace(-R, R, t_samples)
-    return row_norms(dirichlet_line_values(D, t), D.space), t[1] - t[0]
+    T = check_count(t_samples, "t_samples", 2)
+    h = 2.0 * R / (T - 1)
+    if not (h > 0 and math.isfinite(h)):  # refuses a NaN, infinite or non-positive R too
+        raise ValueError(f"R must be finite and positive, with a finite nonzero spacing 2R/(t_samples - 1); got R = {R!r}")
+    return row_norms(_line_grid_values(D, h, T), D.space), h, float(R), T
 
 
 def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormEstimate:
@@ -269,22 +277,22 @@ def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormE
     to watch the approach along R, 2R, 4R.
     """
     check_p(p)
-    vals, dt = _line_norms(D, R, t_samples)
+    vals, dt, R, T = _line_norms(D, R, t_samples)
     vp = vals**p
     integral = (pairwise_sum(vp) - 0.5 * (vp[0] + vp[-1])) * dt
     value = (integral / (2.0 * R)) ** (1.0 / p)
-    return NormEstimate(value, VERTICAL_MEAN, 0.0, t_samples, 0, R=R)
+    return NormEstimate(float(value), VERTICAL_MEAN, 0.0, T, 0, R=R)
 
 
 def vertical_sup(D: DirichletPoly, R: float, t_samples: int) -> NormEstimate:
-    """Max of ||D(it)|| over a uniform grid in [-R, R]; lower bound for the sup.
+    """Max of ||D(it)|| over the centred uniform grid of [-R, R]; lower bound for the sup.
 
-    An odd t_samples places a node at t = 0.  As R grows the values
-    climb toward the sup norm of the lift by equidistribution of the
-    line inside the torus.
+    An odd t_samples places a node at exactly t = 0.  As R grows the
+    values climb toward the sup norm of the lift by equidistribution of
+    the line inside the torus.
     """
-    vals, _ = _line_norms(D, R, t_samples)
-    return NormEstimate(float(vals.max()), VERTICAL_SUP, 0.0, t_samples, 0, R=R)
+    vals, _, R, T = _line_norms(D, R, t_samples)
+    return NormEstimate(float(vals.max()), VERTICAL_SUP, 0.0, T, 0, R=R)
 
 
 def vertical_mean_diagnostic(

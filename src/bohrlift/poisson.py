@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
-from .norms import NormEstimate, check_grid, lattice_value_chunks, norm_hp
+from .norms import NormEstimate, check_count, lattice_value_chunks, norm_hp
 from .sampling import SamplerConfig
 from .series import PowerPoly
 
@@ -170,7 +170,7 @@ def poisson_convolve_numeric(
     deviation from the exact path is the kernel's geometric tail
     r^{grid - degree}.
     """
-    G = check_grid(grid_per_dim)
+    G = check_count(grid_per_dim, "grid_per_dim", 1)
     m = P.width
     if m > dim_cap:
         raise DimensionCapError(f"quadrature over {m} coordinates exceeds the cap {dim_cap}")

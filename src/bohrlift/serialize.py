@@ -12,6 +12,7 @@ polynomial constructors) numbers that overflow to infinity.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -35,14 +36,20 @@ def _vector_fields(v: np.ndarray) -> dict:
     return {"re": [float(x) for x in v.real], "im": [float(x) for x in v.imag]}
 
 
-def _vector_from_fields(entry: dict, dim: int) -> np.ndarray:
-    re = entry.get("re")
-    im = entry.get("im")
-    if not isinstance(re, list) or not isinstance(im, list) or len(re) != dim or len(im) != dim:
-        raise ValueError(f"coefficient needs 're' and 'im' lists of length {dim}")
-    if not set(map(type, re + im)) <= {int, float}:  # exact types: json gives bool for true
+def _vectors_from_fields(entries: list, dim: int) -> np.ndarray:
+    """(terms, dim) coefficients from the 're' and 'im' lists of the coefficient entries."""
+    res = [entry.get("re") for entry in entries]
+    ims = [entry.get("im") for entry in entries]
+    for re, im in zip(res, ims):
+        if not isinstance(re, list) or not isinstance(im, list) or len(re) != dim or len(im) != dim:
+            raise ValueError(f"coefficient needs 're' and 'im' lists of length {dim}")
+    if not set(map(type, chain.from_iterable(res + ims))) <= {int, float}:  # exact types: json gives bool for true
+        re, im = next((re, im) for re, im in zip(res, ims) if not set(map(type, re + im)) <= {int, float})
         raise ValueError(f"'re' and 'im' entries must be numbers, got {re!r} and {im!r}")
-    return np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+    out = np.empty((len(entries), dim), dtype=np.complex128)
+    if entries:
+        out.real, out.imag = res, ims
+    return out
 
 
 def dirichlet_to_dict(D: DirichletPoly) -> dict:
@@ -54,17 +61,18 @@ def dirichlet_from_dict(obj: Any) -> DirichletPoly:
     if not isinstance(obj, dict) or "space" not in obj or "coeffs" not in obj:
         raise ValueError("Dirichlet polynomial must be an object with 'space' and 'coeffs'")
     space = _space_from_dict(obj["space"])
-    out: dict[int, np.ndarray] = {}
-    for entry in obj["coeffs"]:
+    entries = list(obj["coeffs"])
+    keys: dict[int, None] = {}
+    for entry in entries:
         if not isinstance(entry, dict) or "n" not in entry:
             raise ValueError("each coefficient needs an integer field 'n'")
         n = entry["n"]
         if type(n) is not int:
             raise ValueError(f"index must be an integer, got {n!r}")
-        if n in out:
+        if n in keys:
             raise ValueError(f"duplicate index {n}")
-        out[n] = _vector_from_fields(entry, space.dim)
-    return DirichletPoly(out, space)
+        keys[n] = None
+    return DirichletPoly(dict(zip(keys, _vectors_from_fields(entries, space.dim))), space)
 
 
 def power_to_dict(P: PowerPoly) -> dict:
@@ -78,18 +86,19 @@ def power_from_dict(obj: Any) -> PowerPoly:
     if not isinstance(obj, dict) or "space" not in obj or "coeffs" not in obj:
         raise ValueError("power polynomial must be an object with 'space' and 'coeffs'")
     space = _space_from_dict(obj["space"])
-    out: dict[MultiIndex, np.ndarray] = {}
-    for entry in obj["coeffs"]:
+    entries = list(obj["coeffs"])
+    keys: dict[MultiIndex, None] = {}
+    for entry in entries:
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise ValueError("each coefficient needs an exponent list 'alpha'")
         alpha_raw = entry["alpha"]
         if not isinstance(alpha_raw, list) or not set(map(type, alpha_raw)) <= {int}:
             raise ValueError(f"'alpha' must be a list of integers, got {alpha_raw!r}")
         alpha = MultiIndex(alpha_raw)
-        if alpha in out:
+        if alpha in keys:
             raise ValueError(f"duplicate index {alpha.exponents}")
-        out[alpha] = _vector_from_fields(entry, space.dim)
-    return PowerPoly(out, space)
+        keys[alpha] = None
+    return PowerPoly(dict(zip(keys, _vectors_from_fields(entries, space.dim))), space)
 
 
 def dumps(poly) -> str:

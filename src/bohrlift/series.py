@@ -366,6 +366,53 @@ def dirichlet_line_values(D: DirichletPoly, t: np.ndarray) -> np.ndarray:
     return evaluate(D, np.asarray(t, dtype=np.float64).reshape(-1))
 
 
+def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
+    """(T, dim) values of D at the T >= 2 centred nodes t_k = (k - (T-1)/2) h.
+
+    An odd T has a node at exactly t = 0.  With c = (T-1)//2 and
+    S = isqrt(T-1) + 1, write k - c = qS + j with 0 <= j < S, so that
+    t_k = qSh + (j - frac)h, frac = 0 for odd T and 1/2 for even T.
+    Each monomial then splits as n^{-it_k} = U[q, n] W[j, n] with
+    U[q, n] = n^{-iqSh} and W[j, n] = n^{-i(j - frac)h}, the grid of
+    Odlyzko and Schoenhage, and the values at the S nodes of one q are
+    W @ (U[q] * C): T x terms monomials become two sqrt(T) x terms
+    tables and one matrix product.  At the centre node of an odd T
+    both tables hold exactly 1.  Blocks of terms keep the two tables
+    within _CHUNK_ENTRIES, and blocks of q keep U * C within it too
+    (down to a single q, no larger than C), so memory beyond the output
+    stays near the chunk size; each block's product is added into the
+    output.
+    """
+    c = (T - 1) // 2
+    S = math.isqrt(T - 1) + 1
+    q_lo, q_hi = -c // S, (T - 1 - c) // S
+    Q = q_hi - q_lo + 1
+    dim = D.space.dim
+    out = np.zeros((T, dim), dtype=np.complex128)
+    neg_logs = -np.log(np.array(D.indices(), dtype=np.float64))
+    C = coeff_matrix(D)
+    j_times = (np.arange(S) - 0.5 * (1 - T % 2)) * h
+    q_times = np.arange(q_lo, q_hi + 1) * S * h
+    width = max(1, min(len(neg_logs), _CHUNK_ENTRIES // (S + Q)))
+    rows = max(1, min(Q, _CHUNK_ENTRIES // (width * dim)))
+    W = np.empty((S, width), dtype=np.complex128)
+    U = np.empty((Q, width), dtype=np.complex128)
+    for lo in range(0, len(neg_logs), width):
+        logs = neg_logs[lo : lo + width]
+        w = len(logs)
+        for table, times in ((W[:, :w], j_times), (U[:, :w], q_times)):
+            np.multiply.outer(times, logs, out=table.imag)
+            np.cos(table.imag, out=table.real)
+            np.sin(table.imag, out=table.imag)
+        for qa in range(0, Q, rows):
+            qb = min(Q, qa + rows)
+            UC = U[qa:qb, :w].T[:, :, None] * C[lo : lo + w, None, :]  # (w, q, dim)
+            V = (W[:, :w] @ UC.reshape(w, -1)).reshape(S, qb - qa, dim).swapaxes(0, 1).reshape(-1, dim)
+            k = (q_lo + qa) * S + c  # the node of V's first row; the first and last q reach past the grid
+            out[max(k, 0) : k + len(V)] += V[max(-k, 0) : T - k]
+    return out
+
+
 def power_eval(P: PowerPoly, z: Iterable[complex]) -> np.ndarray:
     """Value of P at a single point z of the polydisc (len(z) >= width)."""
     z = np.asarray(list(z), dtype=np.complex128)

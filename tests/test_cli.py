@@ -298,6 +298,32 @@ def test_log_bound_writes_an_infinite_p_as_inf(tmp_path):
     assert [[str(row[column]) for column in header] for row in doc] == rows
 
 
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_norm_on_an_infinite_line_exits_2(tmp_path, capsys, p):
+    src = tmp_path / "d.json"
+    src.write_text(dumps(DirichletPoly({1: 1.0, 2: 1.0})))
+    code = run_spec(
+        "norm", None, input_path=str(src), p=p, exact=False,
+        grid=8, R=math.inf, t_samples=9, samples=10, seed=0, scheme="iid",
+    )
+    assert code == 2
+    assert "R must be finite and positive" in capsys.readouterr().err
+
+
+def test_norm_on_a_line_records_its_half_length(tmp_path):
+    src = tmp_path / "d.json"
+    src.write_text(dumps(DirichletPoly({1: 1.0, 2: 1.0})))
+    out = tmp_path / "n.json"
+    code = run_spec(
+        "norm", str(out), input_path=str(src), p="inf", exact=False,
+        grid=8, R=25.0, t_samples=101, samples=10, seed=0, scheme="iid",
+    )
+    assert code == 0
+    assert json.loads(out.read_text()) == {
+        "value": 2.0, "method": "vertical_sup", "std_error": 0.0, "samples": 101, "seed": 0, "R": 25.0,
+    }
+
+
 def test_criterion_unknown_family_exits_2(capsys):
     code = run_spec("criterion", family="bogus", size=3, p="2", m_max=2, grid=8, samples=10, seed=0, scheme="iid")
     assert code == 2

@@ -159,6 +159,42 @@ def test_vertical_mean_diagnostic_stabilizes():
     assert abs(values[2] - values[1]) <= abs(values[1] - values[0]) + 0.01 * values[0]
 
 
+@pytest.mark.parametrize("R", [float("inf"), -float("inf"), float("nan"), 0.0, -1.0, 1e308])
+def test_line_estimators_reject_a_meaningless_half_length(R):
+    # an infinite R would put NaN into the estimate; 1e308 overflows the node spacing
+    with pytest.raises(ValueError):
+        vertical_sup(TWO_TERM, R, 11)
+    with pytest.raises(ValueError):
+        vertical_mean(TWO_TERM, 2.0, R, 11)
+
+
+@pytest.mark.parametrize("bad, error", [(1, ValueError), (0, ValueError), (True, TypeError), (11.0, TypeError), ("11", TypeError)])
+def test_line_estimators_reject_a_meaningless_node_count(bad, error):
+    with pytest.raises(error):
+        vertical_sup(TWO_TERM, 10.0, bad)
+    with pytest.raises(error):
+        vertical_mean(TWO_TERM, 2.0, 10.0, bad)
+
+
+def test_line_estimates_are_plain_python_numbers():
+    sup = vertical_sup(TWO_TERM, 10.0, np.int64(101))
+    assert type(sup.samples) is int and sup.samples == 101
+    assert sup == vertical_sup(TWO_TERM, 10.0, 101)
+    mean = vertical_mean(TWO_TERM, 2.0, np.float64(10.0), np.int64(101))
+    assert type(mean.value) is float and type(mean.samples) is int and type(mean.R) is float
+    assert json.loads(json.dumps(mean.to_dict())) == mean.to_dict()
+
+
+def test_line_estimates_record_their_half_length():
+    assert vertical_sup(TWO_TERM, 10.0, 101).to_dict() == {
+        "value": 2.0, "method": "vertical_sup", "std_error": 0.0, "samples": 101, "seed": 0, "R": 10.0,
+    }
+    assert vertical_mean(TWO_TERM, 2.0, 50.0, 101).to_dict()["R"] == 50.0
+    # estimates without a line keep their five keys
+    for est in (norm_hinf_grid(TWO_TERM, 8), norm_hp_mc(TWO_TERM, 4.0, SamplerConfig(100, 0))):
+        assert set(est.to_dict()) == {"value", "method", "std_error", "samples", "seed"}
+
+
 def test_p_limit_monotone_on_shared_sample():
     rows = norm_p_limit_check(TWO_TERM, [1.0, 2.0, 4.0, 8.0], SamplerConfig(samples=2000, seed=13))
     vals = [est.value for _, est in rows]

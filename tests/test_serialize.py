@@ -111,6 +111,37 @@ def test_json_boundary_rejects_meaningless_values(loader, bad):
         loader(_doc(**{"key": key, **bad}))
 
 
+@pytest.mark.parametrize(
+    "re, im, message",
+    [
+        ('[1.0, true]', '[0.0, 0.0]', "'re' and 'im' entries must be numbers, got [1.0, True] and [0.0, 0.0]"),
+        ('[1.0, 2.0]', '[null, 0.0]', "'re' and 'im' entries must be numbers, got [1.0, 2.0] and [None, 0.0]"),
+        ('[1.0]', '[0.0, 0.0]', "coefficient needs 're' and 'im' lists of length 2"),
+        ('{"a": 1}', '[0.0, 0.0]', "coefficient needs 're' and 'im' lists of length 2"),
+    ],
+)
+@pytest.mark.parametrize("loader, key", [(loads_dirichlet, '"n": 3'), (loads_power, '"alpha": [0, 1]')])
+def test_field_rejections_name_the_bad_coefficient(loader, key, re, im, message):
+    # the fields of every coefficient are read in one pass; a fault in a later
+    # coefficient still names that coefficient's lists
+    good = '"re": [1.0, 2.0], "im": [0.5, -0.5]'
+    first = '"n": 2' if loader is loads_dirichlet else '"alpha": [1]'
+    doc = f'{{"space": {{"dim": 2, "norm": "l2"}}, "coeffs": [{{{first}, {good}}}, {{{key}, "re": {re}, "im": {im}}}]}}'
+    with pytest.raises(ValueError) as info:
+        loader(doc)
+    assert str(info.value) == message
+
+
+def test_fields_load_into_the_coefficients_exactly():
+    doc = '{"space": {"dim": 2, "norm": "l1"}, "coeffs": [{"n": 2, "re": [1, -0.0], "im": [0.1, 5e-324]}, {"n": 7, "re": [0, 3], "im": [-2, 0]}]}'
+    D = loads_dirichlet(doc)
+    assert np.array_equal(D[2], np.array([1.0 + 0.1j, complex(-0.0, 5e-324)]))
+    assert np.signbit(D[2][1].real)  # signed zeros load as written
+    assert np.array_equal(D[7], np.array([-2.0j, 3.0]))
+    assert not D[2].flags.writeable and not np.shares_memory(D[2], D[7])
+    assert loads_dirichlet(dumps(D)) == D
+
+
 def test_duplicate_keys_rejected():
     doc = {
         "space": {"dim": 1, "norm": "l2"},

@@ -1,6 +1,7 @@
 """Polynomial containers, the lift and its inverse, truncation and restriction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,79 @@ def test_multiplicative_kernel_exact_at_zero(rng):
     P = bohr_lift(random_dirichlet(rng, max_index=3000, max_terms=30, dim=2))
     theta = np.zeros((7, P.width))
     assert np.array_equal(power_values_at_angles(P, theta), direct_values(P, theta))
+
+
+def grid_nodes(R, T):
+    h = 2.0 * R / (T - 1)
+    return (np.arange(T) - (T - 1) / 2) * h, h
+
+
+def direct_grid_values(D, R, T):
+    """The reference at the centred nodes, a few hundred points at a time."""
+    t, _ = grid_nodes(R, T)
+    return np.concatenate([direct_values(D, t[lo : lo + 256]) for lo in range(0, T, 256)])
+
+
+@pytest.mark.parametrize("R, tol", [(1e3, 1e-13), (4.1e5, 1e-10)])
+@pytest.mark.parametrize("T", [257, 2049])
+def test_line_grid_on_dense_line(R, tol, T):
+    # the tolerances of the multiplicative kernel: the phase t log n itself
+    # rounds to about 5e-10 at large |t|; 4096 terms take several term blocks
+    D = gallery("zeta_shift", 4096)
+    _, h = grid_nodes(R, T)
+    assert relative_gap(series._line_grid_values(D, h, T), direct_grid_values(D, R, T)) <= tol
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 1000, 1001])
+def test_line_grid_small_and_even_node_counts(T):
+    # an even T has no node at t = 0; T = 2 holds just the end points -R and R.
+    # Phases reach 137 here, one ulp of which is 2.8e-14
+    D = DirichletPoly({1: 1.0, 2: -0.5j, 6: 0.25, 97: 2.0 + 1.0j})
+    _, h = grid_nodes(30.0, T)
+    got = series._line_grid_values(D, h, T)
+    assert got.shape == (T, 1)
+    assert relative_gap(got, direct_grid_values(D, 30.0, T)) <= 1e-13
+    if T == 2:
+        assert relative_gap(got, direct_values(D, np.array([-30.0, 30.0]))) <= 1e-13
+
+
+def test_line_grid_on_vector_coefficients():
+    # (C^300, linf): several q blocks of U * C at 300 x 300 entries each
+    D = gallery("c0", 300)
+    _, h = grid_nodes(1e3, 4001)
+    got = series._line_grid_values(D, h, 4001)
+    assert got.shape == (4001, 300)
+    # phases reach 5.7e3 here, one ulp of which is 9.1e-13
+    assert relative_gap(got, direct_grid_values(D, 1e3, 4001)) <= 1e-11
+
+
+def test_line_grid_keeps_indices_with_huge_prime_factors():
+    D = DirichletPoly({1: 1.0, 2**61 - 1: 1.0, 3 * (2**61 - 1): -1.0j})
+    _, h = grid_nodes(100.0, 1001)
+    assert relative_gap(series._line_grid_values(D, h, 1001), direct_grid_values(D, 100.0, 1001)) <= 1e-12
+
+
+def test_line_grid_centre_node_is_the_coefficient_sum():
+    # both tables hold exactly 1 at t = 0, so the centre value sums the coefficients
+    D = gallery("zeta_shift", 4096)
+    T = 8193
+    _, h = grid_nodes(409600.0, T)
+    centre = series._line_grid_values(D, h, T)[(T - 1) // 2, 0]
+    assert centre.imag == 0.0
+    assert centre.real == pytest.approx(math.fsum(v[0].real for _, v in D.items()), rel=1e-14)
+
+
+def test_line_grid_scan_memory():
+    # the multiplicative kernel's work matrices peak at 5.4 MiB here; the two
+    # tables, one block of U * C and the output stay near 2.5 MiB
+    D = gallery("zeta_shift", 4096)
+    tracemalloc.start()
+    try:
+        vertical_sup(D, 409600.0, 8193)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 def test_empty_polynomials():
