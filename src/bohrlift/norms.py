@@ -8,7 +8,9 @@ on the torus.  This module estimates the torus face exactly (p = 2 with
 Euclidean coefficients), by seeded Monte Carlo (any finite p >= 1), or
 by a lattice scan (p = infinity, a certified lower bound), and the line
 face by trapezoid quadrature; the test suite pits the faces against
-each other.
+each other.  At finite p, `norm_hp_rows` alone chooses between the
+two torus methods, for a stack of real per-term weight rows (plain
+norms, translates, smoothings) on one sample set.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionCapError, NoClosedFormError
 from .multiindex import MultiIndex
+from .primes import factorize
 from .sampling import (
     KRONECKER_QMC,
     SamplerConfig,
@@ -38,7 +41,7 @@ from .series import (
     coeff_matrix,
     evaluate,
 )
-from .spaces import row_norms, vector_norm
+from .spaces import row_norms
 
 EXACT_PARSEVAL = "exact_parseval"
 TORUS_MC = "torus_mc"
@@ -80,8 +83,13 @@ class NormEstimate:
         return out
 
 
-def _as_power(poly) -> PowerPoly:
-    return bohr_lift(poly) if isinstance(poly, DirichletPoly) else poly
+def _parseval(C: np.ndarray) -> NormEstimate:
+    """sqrt(sum_i ||c_i||_2^2) over the rows c_i of a coefficient matrix.
+
+    Sums run through math.fsum, so dropping terms can never enlarge the value.
+    """
+    squares = [math.fsum(row) for row in (C.real**2 + C.imag**2).tolist()]
+    return NormEstimate(math.sqrt(math.fsum(squares)), EXACT_PARSEVAL)
 
 
 def norm_h2_exact(poly) -> NormEstimate:
@@ -89,16 +97,13 @@ def norm_h2_exact(poly) -> NormEstimate:
 
     Valid only when the coefficient norm is the Euclidean one (l2, or
     any norm in dimension 1); other norms admit no closed form and are
-    rejected in favor of the Monte Carlo estimator.  Sums run through
-    math.fsum, so dropping terms can never enlarge the value.
+    rejected in favor of the Monte Carlo estimator.
     """
     if not poly.space.euclidean:
         raise NoClosedFormError(
             f"no closed form for H_2 with coefficient norm {poly.space.norm!r}; use norm_hp_mc"
         )
-    squares = [math.fsum((v.real**2 + v.imag**2).tolist()) for _, v in poly.items()]
-    value = math.sqrt(math.fsum(squares))
-    return NormEstimate(value, EXACT_PARSEVAL)
+    return _parseval(coeff_matrix(poly))
 
 
 def check_p(p: float) -> None:
@@ -106,29 +111,15 @@ def check_p(p: float) -> None:
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
 
 
-def sample_target(poly, cfg: SamplerConfig):
-    """The polynomial a Monte Carlo estimate evaluates, its sample points, and its row keys.
+def _scaled_powers(x: np.ndarray, p: float) -> tuple[np.ndarray, int]:
+    """(x / 2^k)^p and k, with 2^k the power of two just above max(x).
 
-    Under the Kronecker scheme a Dirichlet polynomial is evaluated
-    directly at the flow times (omega^alpha(n) = n^{-it}).  Otherwise
-    the lift is evaluated at torus angles, re-indexed onto the k
-    coordinates its support uses, with (samples, k) angles: Haar measure
-    is a product, so the other coordinates integrate out.  The points
-    are those columns of the full-width torus_angles, so estimates do
-    not change.  The third value holds, for each row of
-    coeff_matrix(target), its key in poly (a Dirichlet index on the
-    line) or in the lift of poly (on the torus).
+    The largest scaled value lies in [1/2, 1), so at large p the powers
+    neither overflow nor all underflow; a power mean of x is 2^k times
+    that of x / 2^k, and scaling by 2^k is exact.
     """
-    if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
-        return poly, kronecker_times(cfg), poly.indices()
-    P = _as_power(poly)
-    active = sorted({pos for alpha, _ in P.items() for pos, _ in alpha.pairs})
-    at = {pos: j for j, pos in enumerate(active)}
-    source = {
-        MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): alpha for alpha, _ in P.items()
-    }
-    target = PowerPoly._moved({key: P[alpha] for key, alpha in source.items()}, P.space)
-    return target, coordinate_angles(cfg, active), [source[key] for key in target.indices()]
+    k = math.frexp(float(x.max()))[1]
+    return np.ldexp(x, -k) ** p, k
 
 
 def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
@@ -137,7 +128,7 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
     The standard error follows the delta method,
     se(value) = se(mean of x^p) * value^{1-p} / p.
     """
-    xp = x**p
+    xp, k = _scaled_powers(x, p)
     mean = pairwise_mean(xp)
     value = mean ** (1.0 / p)
     if cfg.samples > 1 and value > 0.0:
@@ -145,7 +136,58 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
         std_error = math.sqrt(var / cfg.samples) * value ** (1.0 - p) / p
     else:
         std_error = 0.0
-    return NormEstimate(value, TORUS_MC, std_error, cfg.samples, cfg.seed)
+    return NormEstimate(math.ldexp(value, k), TORUS_MC, math.ldexp(std_error, k), cfg.samples, cfg.seed)
+
+
+def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[NormEstimate]]:
+    """Monte Carlo H_p estimates, at every p in ps, of each weighted polynomial sum_i w_i a_i z^alpha_i.
+
+    weights holds one real row w per polynomial, in poly.indices()
+    order.  All estimates share one sample set: poly is lifted once,
+    its points are drawn once, and each chunk's monomials are built once
+    for the whole stack (see `evaluate`).  Under the Kronecker scheme a
+    Dirichlet polynomial is evaluated at the flow times (omega^alpha(n)
+    = n^{-it}); otherwise the lift is evaluated at torus angles on the
+    k coordinates its support uses, (samples, k) angles that are those
+    columns of the full-width torus_angles: Haar measure is a product,
+    so the other coordinates integrate out.  A constant short-circuits
+    to its exact norm (every H_p norm of a constant is the coefficient
+    norm), with zero standard error.
+    """
+    ps = [float(p) for p in ps]
+    for p in ps:
+        check_p(p)
+    keys = poly.indices()
+    lifted = [factorize(n) for n in keys] if isinstance(poly, DirichletPoly) else keys
+    stack = weights[:, :, None] * coeff_matrix(poly)  # (rows, terms, dim)
+    active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
+    if not active:
+        norms = row_norms(stack.sum(axis=1), poly.space).tolist()
+        return [[NormEstimate(c, EXACT_PARSEVAL, 0.0, 0, cfg.seed) for _ in ps] for c in norms]
+    if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
+        target, points = poly, kronecker_times(cfg)
+    else:
+        at = {pos: j for j, pos in enumerate(active)}
+        term = {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): i for i, alpha in enumerate(lifted)}
+        target = PowerPoly._moved({key: poly[keys[i]] for key, i in term.items()}, poly.space)
+        stack = stack[:, [term[key] for key in target.indices()]]
+        points = coordinate_angles(cfg, active)
+    values = evaluate(target, points, stack)
+    return [[mc_estimate(x, p, cfg) for p in ps] for x in (row_norms(v, poly.space) for v in values)]
+
+
+def norm_hp_rows(poly, p: float, weights: np.ndarray, cfg: SamplerConfig | None = None) -> list[NormEstimate]:
+    """Finite-p H_p norms of the weighted polynomials sum_i w_i a_i z^alpha_i, one per row w of weights.
+
+    The rows are real, in poly.indices() order.  For p = 2 with
+    Euclidean coefficients every norm is exact Parseval; otherwise all
+    are Monte Carlo estimates on one sample set (see `_mc_rows`), so
+    differences between rows are not drowned by independent noise.
+    """
+    if p == 2.0 and poly.space.euclidean:
+        C = coeff_matrix(poly)
+        return [_parseval(w[:, None] * C) for w in weights]
+    return [row[0] for row in _mc_rows(poly, [p], weights, SamplerConfig() if cfg is None else cfg)]
 
 
 def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
@@ -156,14 +198,12 @@ def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
     norm of a constant is the coefficient norm), reported with zero
     standard error.  Fixed (samples, seed, scheme) reproduce bit-for-bit.
     """
-    return norm_p_limit_check(poly, [p], cfg)[0][1]
+    return _mc_rows(poly, [p], np.ones((1, len(poly))), cfg)[0][0]
 
 
 def norm_hp(poly, p: float, cfg: SamplerConfig | None = None) -> NormEstimate:
     """Finite-p H_p norm: exact Parseval for p = 2 with Euclidean coefficients, else Monte Carlo."""
-    if p == 2.0 and poly.space.euclidean:
-        return norm_h2_exact(poly)
-    return norm_hp_mc(poly, p, SamplerConfig() if cfg is None else cfg)
+    return norm_hp_rows(poly, p, np.ones((1, len(poly))), cfg)[0]
 
 
 def check_count(value, name: str, least: int) -> int:
@@ -242,7 +282,7 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     lift width is capped to keep the G^m lattice enumerable.
     """
     G = check_count(grid_per_dim, "grid_per_dim", 1)
-    P = _as_power(poly)
+    P = bohr_lift(poly) if isinstance(poly, DirichletPoly) else poly
     m = P.width
     if m > dim_cap:
         raise DimensionCapError(
@@ -278,10 +318,10 @@ def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormE
     """
     check_p(p)
     vals, dt, R, T = _line_norms(D, R, t_samples)
-    vp = vals**p
+    vp, k = _scaled_powers(vals, p)
     integral = (pairwise_sum(vp) - 0.5 * (vp[0] + vp[-1])) * dt
-    value = (integral / (2.0 * R)) ** (1.0 / p)
-    return NormEstimate(float(value), VERTICAL_MEAN, 0.0, T, 0, R=R)
+    value = math.ldexp((integral / (2.0 * R)) ** (1.0 / p), k)
+    return NormEstimate(value, VERTICAL_MEAN, 0.0, T, 0, R=R)
 
 
 def vertical_sup(D: DirichletPoly, R: float, t_samples: int) -> NormEstimate:
@@ -315,12 +355,4 @@ def norm_p_limit_check(D, p_grid, cfg: SamplerConfig) -> list[tuple[float, NormE
     p = 32, so a fixed-p row is not a reading of the sup.
     """
     ps = [float(p) for p in p_grid]
-    for p in ps:
-        check_p(p)
-    P = _as_power(D)
-    if P.width == 0:
-        c = vector_norm(P.constant_term, P.space)
-        return [(p, NormEstimate(c, EXACT_PARSEVAL, 0.0, 0, cfg.seed)) for p in ps]
-    target, points, _ = sample_target(D, cfg)
-    x = row_norms(evaluate(target, points), target.space)
-    return [(p, mc_estimate(x, p, cfg)) for p in ps]
+    return list(zip(ps, _mc_rows(D, ps, np.ones((1, len(D))), cfg)[0]))

@@ -9,7 +9,8 @@ the coefficient at alpha by r^{|alpha|} =  prod_j r_j^{alpha_j}; the
 numeric path recomputes the same thing by tensor-grid quadrature and
 discrete orthogonality, and agreement of the two is a standing check.
 Smoothing never enlarges any L_p norm (the kernel is a probability
-density), which `contraction_check` probes estimator-side.
+density), which `contraction_check` probes estimator-side, with the
+smoothed and the plain norm as two weight rows on one sample set.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
-from .norms import NormEstimate, check_count, lattice_value_chunks, norm_hp
+from .norms import NormEstimate, check_count, lattice_value_chunks, norm_hp_rows
 from .sampling import SamplerConfig
-from .series import PowerPoly
+from .series import PowerPoly, monomial_at
 
 #: Widest polynomial the grid-quadrature path will accept by default.
 DEFAULT_POISSON_DIM_CAP = 4
@@ -130,21 +131,19 @@ def kernel_m_series(omega, z, r: RadiusVector, terms: int):
     return out
 
 
+def _check_radii(P: PowerPoly, r: RadiusVector) -> None:
+    if len(r) < P.width:
+        raise ValueError(f"radius vector has {len(r)} entries, polynomial width is {P.width}")
+
+
 def poisson_convolve_exact(P: PowerPoly, r: RadiusVector) -> PowerPoly:
     """Radial smoothing on coefficients: c_alpha -> c_alpha prod_j r_j^alpha_j.
 
     Composing two smoothings multiplies the radius vectors entrywise;
     the all-zero radius keeps only the constant term.
     """
-    if len(r) < P.width:
-        raise ValueError(f"radius vector has {len(r)} entries, polynomial width is {P.width}")
-    out = {}
-    for alpha, v in P.items():
-        w = 1.0
-        for pos, e in alpha.pairs:
-            w *= r.radii[pos] ** e
-        out[alpha] = v * w
-    return PowerPoly(out, P.space)
+    _check_radii(P, r)
+    return PowerPoly({alpha: v * monomial_at(alpha, r.radii) for alpha, v in P.items()}, P.space)
 
 
 def poisson_convolve_numeric(
@@ -212,9 +211,13 @@ def contraction_check(
 ) -> tuple[NormEstimate, NormEstimate]:
     """Norms of (smoothed P, P); smoothing must not enlarge the norm.
 
-    Exact Parseval values for p = 2 with Euclidean coefficients, Monte
-    Carlo otherwise; callers compare lhs against rhs plus three combined
-    standard errors.
+    The smoothed polynomial weighs the coefficient at alpha by
+    r^alpha, so both norms come from one call of `norm_hp_rows`, as
+    the weight rows r^alpha and 1: exact Parseval values for p = 2 with
+    Euclidean coefficients, else Monte Carlo estimates on one sample
+    set.  Callers compare lhs against rhs plus three combined standard
+    errors.
     """
-    Fr = poisson_convolve_exact(P, r)
-    return norm_hp(Fr, p, cfg), norm_hp(P, p, cfg)
+    _check_radii(P, r)
+    radial = np.array([monomial_at(alpha, r.radii) for alpha in P.indices()])
+    return tuple(norm_hp_rows(P, p, np.stack([radial, np.ones_like(radial)]), cfg))

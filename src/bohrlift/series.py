@@ -421,8 +421,13 @@ def power_eval(P: PowerPoly, z: Iterable[complex]) -> np.ndarray:
         raise ValueError(f"need at least {m} coordinates, got {z.shape[0]}")
     total = np.zeros(P.space.dim, dtype=np.complex128)
     for alpha, v in P.items():
-        mono = 1.0 + 0.0j
-        for pos, e in alpha.pairs:
-            mono *= z[pos] ** e
-        total = total + mono * v
+        total = total + monomial_at(alpha, z) * v
     return total
+
+
+def monomial_at(alpha: MultiIndex, z):
+    """z^alpha = prod_j z_j^alpha_j for z indexed by coordinate, multiplied left to right from 1.0."""
+    w = 1.0
+    for pos, e in alpha.pairs:
+        w *= z[pos] ** e
+    return w

@@ -4,7 +4,8 @@ Translating by z multiplies each coefficient by n^{-z}; imaginary
 translations rotate coefficients without changing any Hardy norm, and
 real translations epsilon > 0 damp high indices, with the norm profile
 epsilon -> ||D_epsilon|| non-increasing and converging to ||D|| as
-epsilon -> 0.  Twisting multiplies the coefficient at n by theta^alpha(n)
+epsilon -> 0.  The norms of translates are weight rows n^{-epsilon} of
+the one finite-p estimator `norms.norm_hp_rows`.  Twisting multiplies the coefficient at n by theta^alpha(n)
 for a point theta on the torus; it is a norm isometry with inverse the
 conjugate twist.
 """
@@ -18,19 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimatorInconsistencyError
-from .norms import (
-    EXACT_PARSEVAL,
-    NormEstimate,
-    check_p,
-    mc_estimate,
-    norm_h2_exact,
-    norm_hp_mc,
-    sample_target,
-)
-from .primes import factorize, index_of
+from .norms import NormEstimate, norm_h2_exact, norm_hp_rows
+from .primes import factorize
 from .sampling import SamplerConfig
-from .series import DirichletPoly, coeff_matrix, evaluate
-from .spaces import row_norms, vector_norm
+from .series import DirichletPoly, monomial_at
+from .spaces import vector_norm
 
 #: Default geometric grid 1, 1/2, ..., 2^-20 for the epsilon profile.
 DEFAULT_EPS_GRID = tuple(2.0**-k for k in range(21))
@@ -105,13 +98,7 @@ def twist(D: DirichletPoly, theta: TwistPoint) -> DirichletPoly:
         raise ValueError(
             f"twist point has {len(theta)} angles but the support uses {width} primes"
         )
-    out = {}
-    for n, v, alpha in terms:
-        w = 1.0 + 0.0j
-        for pos, e in alpha.pairs:
-            w *= theta.angles[pos] ** e
-        out[n] = v * w
-    return DirichletPoly(out, D.space)
+    return DirichletPoly({n: v * monomial_at(alpha, theta.angles) for n, v, alpha in terms}, D.space)
 
 
 def eps_norm_profile(
@@ -122,9 +109,11 @@ def eps_norm_profile(
 ) -> list[tuple[float, NormEstimate]]:
     """Norms of the real translates D_eps along a grid of eps > 0.
 
-    For p = 2 with Euclidean coefficients each row is the closed form
-    sqrt(sum_n ||a_n||^2 n^{-2 eps}), exact and strictly decreasing in
-    eps for non-constant D.  Otherwise rows are Monte Carlo estimates
+    Each translate weighs the coefficient at n by n^{-eps}, and the rows
+    come from one call of `norm_hp_rows`.  For p = 2 with Euclidean
+    coefficients each row is the closed form
+    sqrt(sum_n ||a_n n^{-eps}||^2), exact and strictly decreasing in eps
+    for non-constant D.  Otherwise rows are Monte Carlo estimates
     sharing one fixed sample set (common random numbers), so the
     profile's trend is not drowned by independent noise.
     """
@@ -136,33 +125,8 @@ def eps_norm_profile(
     for e in eps_list:
         if not (e > 0 and math.isfinite(e)):
             raise ValueError(f"eps grid entries must be positive, got {e!r}")
-    check_p(p)
-
-    if p == 2.0 and D.space.euclidean:
-        rows = []
-        sq = {n: math.fsum((v.real**2 + v.imag**2).tolist()) for n, v in D.items()}
-        for e in eps_list:
-            total = math.fsum(sq[n] * float(n) ** (-2.0 * e) for n in sq)
-            rows.append((e, NormEstimate(math.sqrt(total), EXACT_PARSEVAL)))
-        return rows
-
-    if cfg is None:
-        cfg = SamplerConfig()
-    return list(zip(eps_list, _mc_translates(D, p, eps_list, cfg)))
-
-
-def _mc_translates(D: DirichletPoly, p: float, eps_list, cfg: SamplerConfig) -> list[NormEstimate]:
-    """Monte Carlo H_p estimates of D_eps for each eps, on one sample set.
-
-    The monomials of each chunk of points are built once and every
-    translate's coefficients, a_n n^{-eps}, are applied to them; eps = 0
-    gives the plain estimate, equal to `norm_hp_mc` bit for bit.
-    """
-    target, points, keys = sample_target(D, cfg)
-    ns = np.array(keys if target is D else [index_of(a) for a in keys], dtype=np.float64)
-    C = coeff_matrix(target)
-    values = evaluate(target, points, np.stack([C * (ns ** (-e))[:, None] for e in eps_list]))
-    return [mc_estimate(row_norms(v, D.space), p, cfg) for v in values]
+    ns = np.array(D.indices(), dtype=np.float64)
+    return list(zip(eps_list, norm_hp_rows(D, p, np.stack([ns ** (-e) for e in eps_list]), cfg)))
 
 
 def eps_gap_bound_h2(D: DirichletPoly, eps: float) -> float:
@@ -183,21 +147,14 @@ def hplus_norm(D: DirichletPoly, p: float, cfg: SamplerConfig | None = None) -> 
 
     On polynomials sup_{eps > 0} ||D_eps|| equals the plain H_p norm
     (the profile increases as eps decreases and converges to ||D||), so
-    the estimate is the plain one; a cross-check at eps = 2^-20 on the
-    same sample set must sit within the translation-continuity bound
-    sum_n ||a_n|| (1 - n^{-eps}), else the two estimators disagree and
-    an EstimatorInconsistencyError is raised.
+    the estimate is the plain one; a cross-check at eps = 2^-20, a
+    second weight row on the same sample set, must sit within the
+    translation-continuity bound sum_n ||a_n|| (1 - n^{-eps}), else the
+    two estimators disagree and an EstimatorInconsistencyError is raised.
     """
-    if cfg is None:
-        cfg = SamplerConfig()
     eps = EPS_CROSS_CHECK
-    if p == 2.0 and D.space.euclidean:
-        base = norm_h2_exact(D)
-        probe = eps_norm_profile(D, p, [eps])[0][1]
-    elif D.max_index <= 1:  # a constant is its own translate
-        base = probe = norm_hp_mc(D, p, cfg)
-    else:
-        base, probe = _mc_translates(D, p, [0.0, eps], cfg)
+    ns = np.array(D.indices(), dtype=np.float64)
+    base, probe = norm_hp_rows(D, p, np.stack([np.ones_like(ns), ns ** (-eps)]), cfg)
     lipschitz = math.fsum(
         vector_norm(v, D.space) * (1.0 - float(n) ** (-eps)) for n, v in D.items()
     )

@@ -98,6 +98,15 @@ def test_norm_bad_p_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_norm_at_a_large_p_exits_0_with_a_finite_value():
+    # sample norms near 10 overflow x^400; the power mean must not pass through it unscaled
+    argv = ["norm", "--gallery", "zeta_shift", "--size", "50", "--p", "400", "--samples", "1000"]
+    result = CliRunner().invoke(cli.main, argv)
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["method"] == "torus_mc" and math.isfinite(doc["value"]) and doc["std_error"] > 0.0
+
+
 def test_missing_input_exits_2():
     assert run_spec("lift", None) == 2
     assert run_spec("transform", None, input_path="/nonexistent/file.json") == 2

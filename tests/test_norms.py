@@ -94,6 +94,20 @@ def test_mc_homogeneity():
     assert b.value == pytest.approx(2.5 * a.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [64.0, 200.0, 400.0])
+@pytest.mark.parametrize("c", [1e-3, 10.0])
+def test_power_means_scale_without_overflow_or_underflow(c, p):
+    # (1e-3)^200 underflows and 20^400 overflows: the means must not pass through x^p unscaled
+    cfg = SamplerConfig(2000, 0)
+    a = norm_hp_mc(TWO_TERM, p, cfg)
+    b = norm_hp_mc(c * TWO_TERM, p, cfg)
+    assert b.value == pytest.approx(c * a.value, rel=1e-12)
+    assert b.std_error > 0.0
+    assert b.std_error == pytest.approx(c * a.std_error, rel=1e-9)
+    line = vertical_mean(TWO_TERM, p, 100.0, 1001).value
+    assert vertical_mean(c * TWO_TERM, p, 100.0, 1001).value == pytest.approx(c * line, rel=1e-12)
+
+
 def test_mc_rejects_bad_p():
     with pytest.raises(ValueError):
         norm_hp_mc(TWO_TERM, 0.5, SamplerConfig(10, 0))
@@ -232,6 +246,15 @@ def test_torus_mc_keeps_the_full_width_stream(D, cfg):
     P = bohr_lift(D)
     x = row_norms(power_values_at_angles(P, torus_angles(cfg, P.width)), P.space)
     assert norm_hp_mc(P, 4.0, cfg) == mc_estimate(x, 4.0, cfg)
+
+
+@pytest.mark.parametrize("D", [ON_2_AND_7, DirichletPoly({1: 1.0, 2: 1.0, 3: 0.3, 4: 2.0, 6: -1.5})])
+def test_iid_estimate_of_a_dirichlet_polynomial_is_that_of_its_lift(D):
+    # sorted n and sorted multi-indices order the terms differently; each coefficient must meet its own monomial
+    cfg = SamplerConfig(2000, 0)
+    P = bohr_lift(D)
+    x = row_norms(power_values_at_angles(P, torus_angles(cfg, P.width)), P.space)
+    assert norm_hp_mc(D, 4.0, cfg) == mc_estimate(x, 4.0, cfg)
 
 
 def test_mc_memory_follows_the_used_coordinates(rng):

@@ -17,9 +17,11 @@ from bohrlift import (
     kernel_m,
     kernel_m_series,
     max_coeff_gap,
+    norm_hp_mc,
     poisson_convolve_exact,
     poisson_convolve_numeric,
 )
+from bohrlift import series
 from bohrlift.errors import DimensionCapError
 
 
@@ -151,6 +153,20 @@ def test_l4_contraction_mc():
     lhs, rhs = contraction_check(P, RadiusVector([0.6, 0.5]), 4.0, SamplerConfig(samples=10000, seed=0))
     assert lhs.value <= rhs.value
     assert lhs.method == "torus_mc"
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_contraction_check_estimates_both_sides_on_one_plan(monkeypatch, scheme):
+    # the smoothed and the plain polynomial are two weight rows on one sample set and one monomial plan
+    P = bohr_lift(DirichletPoly({1: 1.0 + 0.2j, 2: 0.5, 3: -0.25 + 0.4j, 6: 1.5, 8: -2.0j}))
+    r = RadiusVector([0.6, 0.5])
+    cfg = SamplerConfig(5000, 3, scheme)
+    expected = (norm_hp_mc(poisson_convolve_exact(P, r), 4.0, cfg), norm_hp_mc(P, 4.0, cfg))
+    plans = []
+    build = series.monomial_map
+    monkeypatch.setattr(series, "monomial_map", lambda poly: plans.append(poly) or build(poly))
+    assert contraction_check(P, r, 4.0, cfg) == expected
+    assert len(plans) == 1
 
 
 def test_contraction_check_rejects_p_infinity():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bohrlift import (
+    CoeffSpace,
     DirichletPoly,
     SamplerConfig,
     TwistPoint,
@@ -123,6 +124,16 @@ def test_hplus_equals_h2_on_polynomials(rng):
 def test_hplus_mc_path():
     est = hplus_norm(TWO_TERM, 4.0, SamplerConfig(samples=20000, seed=9))
     assert est.value == pytest.approx(6.0**0.25, abs=5 * max(est.std_error, 1e-4))
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_a_constant_gets_its_exact_norm_from_every_estimator(scheme):
+    # every H_p norm of a constant is its coefficient norm, here the l1 norm 7 of (3, 4)
+    D = DirichletPoly({1: [3.0, 4.0]}, CoeffSpace(2, "l1"))
+    cfg = SamplerConfig(1000, 0, scheme)
+    rows = eps_norm_profile(D, 4.0, [0.5, EPS_CROSS_CHECK], cfg)
+    for est in [norm_hp_mc(D, 4.0, cfg), hplus_norm(D, 4.0, cfg)] + [est for _, est in rows]:
+        assert (est.value, est.method, est.std_error, est.samples) == (7.0, "exact_parseval", 0.0, 0)
 
 
 # sorted-n order (1, 2, 3, 4, 6) differs from sorted multi-index order
