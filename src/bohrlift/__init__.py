@@ -66,7 +66,6 @@ from .sampling import (
     IID_UNIFORM,
     KRONECKER_QMC,
     SamplerConfig,
-    derive_seed,
     pairwise_mean,
     pairwise_sum,
     torus_angles,
@@ -136,7 +135,6 @@ __all__ = [
     "cayley",
     "cayley_inv",
     "contraction_check",
-    "derive_seed",
     "dirichlet_from_dict",
     "dirichlet_line_values",
     "dirichlet_to_dict",

@@ -10,10 +10,11 @@ Three groups of tools:
   ||f(z)|| <= max_j |z_j| for f(0) = 0 and sup norm below one, and the
   H_2 evaluation bound ||f(z)|| <= ||f||_2 prod_j (1 - |z_j|^2)^{-1/2},
   sharp on truncations of the product reproducing kernel.
-- A membership probe for coefficient families: materialize the
-  restriction f_m to the first m coordinates, estimate its norm, and
-  watch whether the non-decreasing sequence ||f_m|| stalls (membership
-  so far) or keeps climbing (divergence trend).
+- A membership probe for coefficient families: materialize f_{m_max},
+  estimate the norms of its restrictions f_m to the first m coordinates
+  on one sample set, and watch whether the non-decreasing sequence
+  ||f_m|| stalls (membership so far) or keeps climbing (divergence
+  trend).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 
 from .gallery import gallery
 from .multiindex import EMPTY_INDEX, MultiIndex
-from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp
+from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp_rows
 from .primes import factorize, index_of
-from .sampling import SamplerConfig, derive_seed
-from .series import PowerPoly, power_eval
+from .sampling import SamplerConfig
+from .series import PowerPoly, power_eval, restrict
 from .spaces import CoeffSpace, SCALAR, vector_norm
 
 BOUNDED_SO_FAR = "BOUNDED_SO_FAR"
@@ -38,6 +39,9 @@ DIVERGENT_TREND = "DIVERGENT_TREND"
 #: Total-degree cutoff when a coefficient family is materialized without
 #: an explicit support hint.
 DEFAULT_DEGREE_CAP = 12
+
+#: Relative increment of ||f_m|| below which `hilbert_criterion` sees a stall.
+STALL_TOL = 1e-3
 
 
 def cayley(z: complex) -> complex:
@@ -166,7 +170,8 @@ class CoeffFamily:
     ``generator`` must be pure: the value at alpha never depends on m,
     so the materialized restrictions are genuinely nested.  ``support``
     optionally lists candidate indices for a given width, sparing the
-    materializer a blind scan over all indices below the degree cap.
+    materializer a blind scan over all indices below the degree cap; its
+    candidates of width <= m must not depend on the width asked for.
     """
 
     label: str
@@ -234,39 +239,32 @@ def hilbert_criterion(
     m_max: int,
     cfg: SamplerConfig | None = None,
     *,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
     grid_per_dim: int = 16,
-    stall_tol: float = 1e-3,
 ) -> CriterionReport:
     """Membership probe: does sup_m ||f_m||_{H_p} look finite?
 
-    Estimates ||f_m|| for m = 1..m_max (exact Parseval for p = 2 with
-    Euclidean coefficients, lattice sup for p = infinity, Monte Carlo
-    otherwise with per-row seed = seed XOR m).  The verdict is
+    Estimates ||f_m|| for m = 1..m_max as restrictions of f_{m_max},
+    materialized once: lattice sups for p = infinity, else one
+    `norm_hp_rows` call with the weight rows 1[width(alpha) <= m] (exact
+    Parseval for p = 2 with Euclidean coefficients, else Monte Carlo on
+    one sample set, every row with cfg.seed).  The verdict is
     BOUNDED_SO_FAR when the last three relative increments all fall
-    below ``stall_tol``, DIVERGENT_TREND otherwise; either way it is a
+    below STALL_TOL, DIVERGENT_TREND otherwise; either way it is a
     statement about the window [1, m_max], not a proof.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if cfg is None:
-        cfg = SamplerConfig()
-    rows = []
-    for m in range(1, m_max + 1):
-        Pm = materialize_family(family, m, degree_cap)
-        if math.isinf(p):
-            est = norm_hinf_grid(Pm, grid_per_dim)
-        else:
-            est = norm_hp(Pm, p, cfg.with_seed(derive_seed(cfg.seed, m)))
-        rows.append((m, est))
-    values = [est.value for _, est in rows]
-    sup_value = max(values)
-    tail = values[-4:]
-    increments = [b - a for a, b in zip(tail, tail[1:])]
-    scale = max(abs(values[-1]), 1e-30)
-    stalled = bool(increments) and all(inc / scale <= stall_tol for inc in increments)
-    verdict = BOUNDED_SO_FAR if stalled else DIVERGENT_TREND
-    return CriterionReport(tuple(rows), verdict, sup_value)
+    P = materialize_family(family, m_max)
+    ms = range(1, m_max + 1)
+    if math.isinf(p):
+        estimates = [norm_hinf_grid(restrict(P, m), grid_per_dim) for m in ms]
+    else:
+        widths = np.array([alpha.width for alpha in P.indices()])
+        estimates = norm_hp_rows(P, p, np.stack([(widths <= m).astype(np.float64) for m in ms]), cfg)
+    values = [est.value for est in estimates]
+    increments = np.diff(values[-4:]) / max(abs(values[-1]), 1e-30)  # relative to the last value
+    verdict = BOUNDED_SO_FAR if len(increments) and (increments <= STALL_TOL).all() else DIVERGENT_TREND
+    return CriterionReport(tuple(zip(ms, estimates)), verdict, max(values))
 
 
 def unit_direction_family(cap: int | None = None) -> CoeffFamily:

@@ -10,7 +10,8 @@ by a lattice scan (p = infinity, a certified lower bound), and the line
 face by trapezoid quadrature; the test suite pits the faces against
 each other.  At finite p, `norm_hp_rows` alone chooses between the
 two torus methods, for a stack of real per-term weight rows (plain
-norms, translates, smoothings) on one sample set.
+norms, translates, smoothings, truncations, restrictions) on one
+sample set.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .series import (
     _line_grid_values,
     bohr_lift,
     coeff_matrix,
-    evaluate,
+    value_chunks,
 )
 from .spaces import row_norms
 
@@ -125,15 +126,16 @@ def _scaled_powers(x: np.ndarray, p: float) -> tuple[np.ndarray, int]:
 def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
     """(mean of x^p)^{1/p} over the cfg.samples sample norms x, with its standard error.
 
-    The standard error follows the delta method,
-    se(value) = se(mean of x^p) * value^{1-p} / p.
+    The standard error follows the delta method, value * sqrt(relvar /
+    samples) / p with relvar the sample variance of x^p / (mean of x^p),
+    which does not underflow at large p as the variance of x^p would.
     """
     xp, k = _scaled_powers(x, p)
     mean = pairwise_mean(xp)
     value = mean ** (1.0 / p)
     if cfg.samples > 1 and value > 0.0:
-        var = pairwise_sum((xp - mean) ** 2) / (cfg.samples - 1)
-        std_error = math.sqrt(var / cfg.samples) * value ** (1.0 - p) / p
+        relvar = pairwise_sum(((xp - mean) / mean) ** 2) / (cfg.samples - 1)
+        std_error = value * math.sqrt(relvar / cfg.samples) / p
     else:
         std_error = 0.0
     return NormEstimate(math.ldexp(value, k), TORUS_MC, math.ldexp(std_error, k), cfg.samples, cfg.seed)
@@ -144,36 +146,43 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
 
     weights holds one real row w per polynomial, in poly.indices()
     order.  All estimates share one sample set: poly is lifted once,
-    its points are drawn once, and each chunk's monomials are built once
-    for the whole stack (see `evaluate`).  Under the Kronecker scheme a
-    Dirichlet polynomial is evaluated at the flow times (omega^alpha(n)
-    = n^{-it}); otherwise the lift is evaluated at torus angles on the
-    k coordinates its support uses, (samples, k) angles that are those
-    columns of the full-width torus_angles: Haar measure is a product,
-    so the other coordinates integrate out.  A constant short-circuits
-    to its exact norm (every H_p norm of a constant is the coefficient
-    norm), with zero standard error.
+    its points are drawn once, and each chunk of values (`value_chunks`)
+    is reduced straight to (rows, samples) norms.  Under the Kronecker
+    scheme a Dirichlet polynomial is evaluated at the flow times
+    (omega^alpha(n) = n^{-it}); otherwise the lift is evaluated at torus
+    angles on the k coordinates its support uses, (samples, k) angles
+    that are those columns of the full-width torus_angles: Haar measure
+    is a product, so the other coordinates integrate out.  A row whose
+    weights vanish off the constant term gets its exact norm (every H_p
+    norm of a constant is the coefficient norm), with no samples.
     """
     ps = [float(p) for p in ps]
     for p in ps:
         check_p(p)
     keys = poly.indices()
     lifted = [factorize(n) for n in keys] if isinstance(poly, DirichletPoly) else keys
-    stack = weights[:, :, None] * coeff_matrix(poly)  # (rows, terms, dim)
-    active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
-    if not active:
-        norms = row_norms(stack.sum(axis=1), poly.space).tolist()
-        return [[NormEstimate(c, EXACT_PARSEVAL, 0.0, 0, cfg.seed) for _ in ps] for c in norms]
+    C = coeff_matrix(poly)
+    moving = weights[:, [i for i, alpha in enumerate(lifted) if alpha.pairs]].any(axis=1)
+    exact = iter(row_norms((weights[~moving][:, :, None] * C).sum(axis=1), poly.space).tolist())
+    out = [None if m else [NormEstimate(next(exact), EXACT_PARSEVAL, 0.0, 0, cfg.seed)] * len(ps) for m in moving]
+    if not moving.any():
+        return out
     if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
-        target, points = poly, kronecker_times(cfg)
+        target, points, order = poly, kronecker_times(cfg), slice(None)
     else:
+        active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
         at = {pos: j for j, pos in enumerate(active)}
         term = {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): i for i, alpha in enumerate(lifted)}
         target = PowerPoly._moved({key: poly[keys[i]] for key, i in term.items()}, poly.space)
-        stack = stack[:, [term[key] for key in target.indices()]]
+        order = [term[key] for key in target.indices()]
         points = coordinate_angles(cfg, active)
-    values = evaluate(target, points, stack)
-    return [[mc_estimate(x, p, cfg) for p in ps] for x in (row_norms(v, poly.space) for v in values)]
+    stack = weights[moving][:, order, None] * C[order]  # (rows, terms, dim), in target's term order
+    x = np.empty((len(stack), cfg.samples))
+    for lo, values in value_chunks(target, points, stack):
+        x[:, lo : lo + values.shape[1]] = row_norms(values, poly.space)
+    for r, norms in zip(np.flatnonzero(moving), x):
+        out[r] = [mc_estimate(norms, p, cfg) for p in ps]
+    return out
 
 
 def norm_hp_rows(poly, p: float, weights: np.ndarray, cfg: SamplerConfig | None = None) -> list[NormEstimate]:
@@ -193,17 +202,11 @@ def norm_hp_rows(poly, p: float, weights: np.ndarray, cfg: SamplerConfig | None 
 def norm_hp_mc(poly, p: float, cfg: SamplerConfig) -> NormEstimate:
     """Monte Carlo H_p estimate: (mean of ||lift(omega)||^p over samples)^{1/p}.
 
-    The standard error follows the delta method (see `mc_estimate`).
-    A constant polynomial short-circuits to its exact norm (every H_p
-    norm of a constant is the coefficient norm), reported with zero
-    standard error.  Fixed (samples, seed, scheme) reproduce bit-for-bit.
+    The standard error follows the delta method (see `mc_estimate`); a
+    constant gets its exact norm (see `_mc_rows`).  Fixed (samples,
+    seed, scheme) reproduce bit-for-bit.
     """
     return _mc_rows(poly, [p], np.ones((1, len(poly))), cfg)[0][0]
-
-
-def norm_hp(poly, p: float, cfg: SamplerConfig | None = None) -> NormEstimate:
-    """Finite-p H_p norm: exact Parseval for p = 2 with Euclidean coefficients, else Monte Carlo."""
-    return norm_hp_rows(poly, p, np.ones((1, len(poly))), cfg)[0]
 
 
 def check_count(value, name: str, least: int) -> int:

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .norms import NormEstimate, norm_h2_exact, norm_hp, vertical_sup
-from .sampling import SamplerConfig, derive_seed
+from .norms import norm_h2_exact, norm_hp_rows, vertical_sup
+from .sampling import SamplerConfig
 from .series import DirichletPoly, max_coeff_gap, partial_sum
 from .spaces import vector_norm
 
@@ -112,37 +112,35 @@ def log_bound_experiment(
 ) -> list[LogBoundRow]:
     """Truncation-ratio sweep ||S_N D|| / ||D|| for D = family(max(Ns)).
 
-    Estimators by exponent: p = infinity uses the vertical-line sup scan
-    with half-length R = r_per_n * N (and R = r_per_n * max index for
-    the denominator), finite p uses `norm_hp` (exact Parseval at p = 2
-    with Euclidean coefficients, else Monte Carlo with the per-row seed
-    derived as seed XOR row index).  Rows report ratio and ratio /
-    log N; the log-bound principle says the latter stays bounded across
-    the sweep.
+    p = infinity uses the vertical-line sup scan with half-length
+    R = r_per_n * N (R = r_per_n * max index for the denominator).
+    Finite p makes one `norm_hp_rows` call with the weight rows 1 (the
+    denominator) and 1[n <= N]: exact Parseval at p = 2 with Euclidean
+    coefficients, else Monte Carlo on one sample set, every row with
+    cfg.seed, so a truncation that keeps every term reads exactly 1.
+    The std_error is the hypot of the two relative errors, which
+    ignores their covariance on the shared samples.  Rows report ratio
+    and ratio / log N; the log-bound principle says the latter stays
+    bounded across the sweep.
     """
     Ns = [int(N) for N in Ns]
     if not Ns or any(N < 2 for N in Ns):
         raise ValueError("Ns must be a non-empty list of integers >= 2")
     if any(a >= b for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
-    if cfg is None:
-        cfg = SamplerConfig()
     D = family(max(Ns))
     if len(D) == 0:
         raise ValueError("family produced the zero polynomial")
-
-    def estimate(S: DirichletPoly, R: float, cfg: SamplerConfig) -> NormEstimate:
-        return vertical_sup(S, R, t_samples) if math.isinf(p) else norm_hp(S, p, cfg)
-
-    denom = estimate(D, r_per_n * max(D.max_index, 2), cfg)
+    if math.isinf(p):
+        denom = vertical_sup(D, r_per_n * max(D.max_index, 2), t_samples)
+        nums = [vertical_sup(partial_sum(D, N), r_per_n * N, t_samples) for N in Ns]
+    else:
+        ns = np.array(D.indices())
+        weights = np.stack([np.ones(len(ns))] + [(ns <= N).astype(np.float64) for N in Ns])
+        denom, *nums = norm_hp_rows(D, p, weights, cfg)
     rows = []
-    for row_idx, N in enumerate(Ns):
-        num = estimate(partial_sum(D, N), r_per_n * N, cfg.with_seed(derive_seed(cfg.seed, row_idx)))
+    for N, num in zip(Ns, nums):
         ratio = num.value / denom.value
-        if num.value > 0 and denom.value > 0:
-            rel = math.hypot(num.std_error / num.value, denom.std_error / denom.value)
-            se = ratio * rel
-        else:
-            se = 0.0
-        rows.append(LogBoundRow(N, ratio, ratio / math.log(N), float(p), num.method, se))
+        rel = math.hypot(num.std_error / num.value, denom.std_error / denom.value) if num.value > 0 else 0.0
+        rows.append(LogBoundRow(N, ratio, ratio / math.log(N), float(p), num.method, ratio * rel))
     return rows

@@ -54,11 +54,6 @@ class SamplerConfig:
         return SamplerConfig(self.samples, seed, self.scheme)
 
 
-def derive_seed(seed: int, row: int) -> int:
-    """Per-row seed for embarrassingly parallel tables: base seed XOR row index."""
-    return seed ^ row
-
-
 def kronecker_times(cfg: SamplerConfig) -> np.ndarray:
     """The Kronecker scheme's flow times: cfg.samples uniform draws from [0, KRONECKER_SPAN)."""
     return np.random.default_rng(cfg.seed).uniform(0.0, KRONECKER_SPAN, size=cfg.samples)

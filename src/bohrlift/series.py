@@ -328,27 +328,31 @@ def monomial_map(poly):
     return max(1, _CHUNK_ENTRIES // len(order)), monomials
 
 
-def evaluate(poly, points: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Values of poly at S points, in the form `monomial_map` takes.
+def value_chunks(poly, points: np.ndarray, coeffs: np.ndarray):
+    """(lo, values) per chunk of points, in the form `monomial_map` takes, from one plan.
 
-    Returns (S, dim).  With coeffs, a (k, terms, dim) stack of k
-    coefficient matrices in coeff_matrix(poly) order, returns the
-    (k, S, dim) values of every polynomial in the stack; each chunk's
-    monomials are built once for all of them.  Work is chunked so the
-    transient monomial matrix stays bounded regardless of the point
-    count; the chunk boundaries depend only on the point count and the
-    term count, so seeded runs reproduce exactly.
+    coeffs stacks k coefficient matrices in coeff_matrix(poly) order, and
+    values is their (k, n, dim) block at points[lo : lo + n], held in one
+    buffer that the next chunk overwrites: memory follows the chunk, not
+    the point count.  Chunk boundaries depend only on the point and term
+    counts, so seeded runs reproduce exactly.
     """
-    C = coeff_matrix(poly)[None] if coeffs is None else coeffs
-    S = points.shape[0]
-    out = np.zeros((C.shape[0], S, C.shape[2]), dtype=np.complex128)
-    if len(poly):
-        chunk, monomials = monomial_map(poly)
-        for lo in range(0, S, chunk):
-            E = monomials(points[lo : lo + chunk])
-            for values, c in zip(out, C):
-                values[lo : lo + chunk] = E @ c
-    return out[0] if coeffs is None else out
+    chunk, monomials = monomial_map(poly)
+    block = np.empty((coeffs.shape[0], min(chunk, points.shape[0]), coeffs.shape[2]), dtype=np.complex128)
+    for lo in range(0, points.shape[0], chunk):
+        E = monomials(points[lo : lo + chunk])
+        values = block[:, : E.shape[0]]
+        for v, c in zip(values, coeffs):
+            np.matmul(E, c, out=v)
+        yield lo, values
+
+
+def evaluate(poly, points: np.ndarray) -> np.ndarray:
+    """(S, dim) values of poly at S points, in the form `monomial_map` takes (see `value_chunks`)."""
+    out = np.empty((points.shape[0], poly.space.dim), dtype=np.complex128)
+    for lo, values in value_chunks(poly, points, coeff_matrix(poly)[None]):
+        out[lo : lo + values.shape[1]] = values[0]
+    return out
 
 
 def power_values_at_angles(P: PowerPoly, theta: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from bohrlift import (
     BOUNDED_SO_FAR,
     DIVERGENT_TREND,
+    EMPTY_INDEX,
     CoeffFamily,
     DirichletPoly,
     MultiIndex,
@@ -22,12 +23,15 @@ from bohrlift import (
     khintchine_linear,
     materialize_family,
     norm_h2_exact,
+    norm_hp_mc,
     normalize_for_schwarz,
     pointwise_eval_bound_h2,
+    restrict,
     schwarz_bound_check,
     stolz_ratio,
     unit_direction_family,
 )
+from bohrlift import series
 
 
 def test_cayley_values():
@@ -187,10 +191,43 @@ def test_criterion_mc_path():
     errs = [est.std_error for _, est in report.per_m]
     assert all(v > 0 for v in values)
     assert all(e > 0 for e in errs)
-    # restriction can only grow with m, up to sampling noise: past the cap the
-    # restrictions coincide but each m draws its own sample
+    # restriction can only grow with m, up to sampling noise; every m reads one
+    # sample set, so past the cap, where the restrictions coincide, the values do too
     for (a, ea), (b, eb) in zip(zip(values, errs), zip(values[1:], errs[1:])):
         assert b >= a - 4 * (ea + eb)
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_criterion_rows_past_the_cap_are_equal(scheme):
+    report = hilbert_criterion(unit_direction_family(3), 4.0, 5, SamplerConfig(2000, 1, scheme))
+    values = [est.value for _, est in report.per_m]
+    assert values[2] == values[3] == values[4]
+    assert {est.seed for _, est in report.per_m} == {1}
+
+
+def test_criterion_rows_are_the_restrictions_on_one_sample_set(monkeypatch):
+    family = unit_direction_family()
+    cfg = SamplerConfig(3000, 4, "kronecker")
+    P = materialize_family(family, 5)
+    expected = [norm_hp_mc(restrict(P, m), 4.0, cfg).value for m in range(1, 6)]
+    plans = []
+    build = series.monomial_map
+    monkeypatch.setattr(series, "monomial_map", lambda poly: plans.append(poly) or build(poly))
+    report = hilbert_criterion(family, 4.0, 5, cfg)
+    assert len(plans) == 1
+    for value, (_, est) in zip(expected, report.per_m):
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_criterion_constant_restriction_is_exact():
+    # f_1 is the constant 2; the one other term lives on the second coordinate
+    def gen(alpha):
+        return 2.0 if alpha == EMPTY_INDEX else 1.0
+
+    family = CoeffFamily("constant-then-z2", None, gen, support=lambda m: [EMPTY_INDEX, MultiIndex.unit(1)])
+    (_, first), (_, second) = hilbert_criterion(family, 4.0, 2, SamplerConfig(1000, 0)).per_m
+    assert (first.value, first.method, first.samples, first.std_error) == (2.0, "exact_parseval", 0, 0.0)
+    assert second.method == "torus_mc"
 
 
 def test_criterion_rows_name_their_estimator():

@@ -108,6 +108,24 @@ def test_power_means_scale_without_overflow_or_underflow(c, p):
     assert vertical_mean(c * TWO_TERM, p, 100.0, 1001).value == pytest.approx(c * line, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [540.0, 1000.0])
+def test_std_error_does_not_underflow_at_large_p(p):
+    # the largest sample norm is just above 1, so the scaled powers sit near 2^-p and
+    # their squared deviations from the mean would underflow to 0
+    D = DirichletPoly({1: 0.5, 2: 0.5 + 1e-6})
+    cfg = SamplerConfig(2000, 0)
+    est = norm_hp_mc(D, p, cfg)
+    # reference in the log domain: x^p / mean(x^p) = exp(p log x - log mean(x^p))
+    x = np.abs(0.5 + (0.5 + 1e-6) * np.exp(1j * torus_angles(cfg, 1)[:, 0]))
+    logs = p * np.log(x)
+    log_mean = logs.max() + math.log(math.fsum(np.exp(logs - logs.max()).tolist()) / x.size)
+    relvar = math.fsum(((np.exp(logs - log_mean) - 1.0) ** 2).tolist()) / (x.size - 1)
+    value = math.exp(log_mean / p)
+    assert est.value == pytest.approx(value, rel=1e-9)
+    assert est.std_error > 0.0
+    assert est.std_error == pytest.approx(value * math.sqrt(relvar / x.size) / p, rel=1e-9)
+
+
 def test_mc_rejects_bad_p():
     with pytest.raises(ValueError):
         norm_hp_mc(TWO_TERM, 0.5, SamplerConfig(10, 0))

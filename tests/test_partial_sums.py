@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from bohrlift import (
+    CoeffSpace,
     DirichletPoly,
     SamplerConfig,
     abel_identity_check,
     gallery,
     log_bound_experiment,
+    norm_hp_mc,
     partial_sum,
     partial_sum_projection_check,
 )
+from bohrlift import series
 from conftest import random_dirichlet
 
 
@@ -102,6 +105,48 @@ def test_log_bound_mc_rows():
     )
     assert all(r.method == "torus_mc" for r in rows)
     assert all(r.std_error > 0.0 for r in rows)
+
+
+# sorted n puts 3 before 4 and 5, the multi-index order puts 5 = (0, 0, 1) first
+MIXED_ORDER = DirichletPoly(
+    {
+        1: [1.0, 0.5], 2: [0.3j, 1.0], 3: [-0.7, 0.2], 4: [0.5, 0.5j],
+        5: [1.0, 1.0], 6: [0.2, -1.0], 9: [1j, 0.0], 12: [0.6, 0.6],
+    },
+    CoeffSpace(2),
+)
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+@pytest.mark.parametrize("D, Ns", [(gallery("zeta_shift", 16), [4, 16]), (DirichletPoly({1: 2.0, 8: 1.0}), [4, 16])])
+def test_log_bound_full_length_mc_row_reads_one(scheme, D, Ns):
+    # the truncation that keeps every term is the denominator's weight row on the same samples
+    rows = log_bound_experiment(lambda s: D, 4.0, Ns, SamplerConfig(2000, 5, scheme))
+    assert rows[-1].method == "torus_mc"
+    assert rows[-1].ratio == 1.0
+
+
+def test_log_bound_rows_are_the_truncations_on_one_sample_set(monkeypatch):
+    cfg = SamplerConfig(3000, 4, "kronecker")
+    Ns = [3, 5, 9, 12]
+    denom = norm_hp_mc(MIXED_ORDER, 4.0, cfg).value
+    expected = [norm_hp_mc(partial_sum(MIXED_ORDER, N), 4.0, cfg).value / denom for N in Ns]
+    plans = []
+    build = series.monomial_map
+    monkeypatch.setattr(series, "monomial_map", lambda poly: plans.append(poly) or build(poly))
+    rows = log_bound_experiment(lambda s: MIXED_ORDER, 4.0, Ns, cfg)
+    assert len(plans) == 1
+    for row, ratio in zip(rows, expected):
+        assert row.ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_log_bound_constant_truncation_is_exact(scheme):
+    cfg = SamplerConfig(1000, 0, scheme)
+    D = DirichletPoly({1: 2.0, 8: 1.0})
+    first, _ = log_bound_experiment(lambda s: D, 4.0, [4, 16], cfg)
+    assert first.method == "exact_parseval"
+    assert first.ratio == 2.0 / norm_hp_mc(D, 4.0, cfg).value
 
 
 def test_log_bound_non_euclidean_p2_rows_are_monte_carlo():

@@ -169,6 +169,18 @@ def test_contraction_check_estimates_both_sides_on_one_plan(monkeypatch, scheme)
     assert len(plans) == 1
 
 
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_contraction_at_radius_zero_reads_the_exact_constant(scheme):
+    # at r = 0 the smoothed polynomial is its constant term: its row gets the exact norm
+    P = bohr_lift(DirichletPoly({1: 1.0, 2: 0.5, 3: 0.25}))
+    r = RadiusVector([0.0, 0.0])
+    cfg = SamplerConfig(1000, 0, scheme)
+    lhs, rhs = contraction_check(P, r, 4.0, cfg)
+    assert lhs == norm_hp_mc(poisson_convolve_exact(P, r), 4.0, cfg)
+    assert (lhs.value, lhs.method, lhs.samples) == (1.0, "exact_parseval", 0)
+    assert rhs == norm_hp_mc(P, 4.0, cfg)
+
+
 def test_contraction_check_rejects_p_infinity():
     P = bohr_lift(DirichletPoly({1: 1.0, 2: 0.5}))
     with pytest.raises(ValueError):

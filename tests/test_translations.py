@@ -14,6 +14,7 @@ from bohrlift import (
     bohr_lift,
     eps_gap_bound_h2,
     eps_norm_profile,
+    gallery,
     hplus_norm,
     max_coeff_gap,
     norm_h2_exact,
@@ -174,6 +175,18 @@ def test_profile_memory_stays_chunked():
         tracemalloc.stop()
     assert len(rows) == 21
     assert peak <= 32 * 2**20
+
+
+def test_profile_memory_follows_the_chunk_on_vector_coefficients():
+    # (21 rows, 10,000 samples, 64) values of gallery("c0", 64) alone would take 205 MiB
+    tracemalloc.start()
+    try:
+        rows = eps_norm_profile(gallery("c0", 64), 4.0, None, SamplerConfig(10_000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 21
+    assert peak <= 64 * 2**20
 
 
 def test_vector_valued_twist_and_translate(rng):
