@@ -18,20 +18,23 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .errors import DimensionCapError, NoClosedFormError
 from .multiindex import MultiIndex
 from .primes import factorize
 from .sampling import (
     KRONECKER_QMC,
     SamplerConfig,
-    coordinate_angles,
-    kronecker_times,
+    angle_rows,
     pairwise_mean,
     pairwise_sum,
+    time_rows,
 )
 from .series import (
     _CHUNK_ENTRIES,
@@ -40,7 +43,6 @@ from .series import (
     _line_grid_values,
     bohr_lift,
     coeff_matrix,
-    value_chunks,
 )
 from .spaces import row_norms
 
@@ -141,20 +143,50 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
     return NormEstimate(math.ldexp(value, k), TORUS_MC, math.ldexp(std_error, k), cfg.samples, cfg.seed)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_parallel(task, parts) -> None:
+    """task(part) for every part, the first in this thread and each other in its own; raises after the join."""
+    errors = []
+
+    def guarded(part):
+        try:
+            task(part)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(part,)) for part in parts[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        task(parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[NormEstimate]]:
     """Monte Carlo H_p estimates, at every p in ps, of each weighted polynomial sum_i w_i a_i z^alpha_i.
 
     weights holds one real row w per polynomial, in poly.indices()
     order.  All estimates share one sample set: poly is lifted once,
-    its points are drawn once, and each chunk of values (`value_chunks`)
-    is reduced straight to (rows, samples) norms.  Under the Kronecker
-    scheme a Dirichlet polynomial is evaluated at the flow times
-    (omega^alpha(n) = n^{-it}); otherwise the lift is evaluated at torus
-    angles on the k coordinates its support uses, (samples, k) angles
-    that are those columns of the full-width torus_angles: Haar measure
-    is a product, so the other coordinates integrate out.  A row whose
-    weights vanish off the constant term gets its exact norm (every H_p
-    norm of a constant is the coefficient norm), with no samples.
+    and one monomial plan serves every chunk of points.  Under the
+    Kronecker scheme a Dirichlet polynomial is evaluated at the flow
+    times (omega^alpha(n) = n^{-it}); otherwise the lift is evaluated at
+    torus angles on the k coordinates its support uses, the columns of
+    the full-width torus_angles: Haar measure is a product, so the
+    other coordinates integrate out.  The chunks are split into
+    contiguous shares, one per CPU (`_worker_count`): each worker draws
+    its chunks' rows of the seeded stream and reduces each chunk's
+    values to norms, one weight row at a time.  Neither chunks nor
+    streams depend on the split, so no value does.  A row whose weights
+    vanish off the constant term gets its exact norm (every H_p norm of
+    a constant is the coefficient norm), with no samples.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -168,18 +200,32 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     if not moving.any():
         return out
     if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
-        target, points, order = poly, kronecker_times(cfg), slice(None)
+        target, order = poly, slice(None)
+        draw = lambda lo, hi: time_rows(cfg, lo, hi)
     else:
         active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
         at = {pos: j for j, pos in enumerate(active)}
         term = {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): i for i, alpha in enumerate(lifted)}
         target = PowerPoly._moved({key: poly[keys[i]] for key, i in term.items()}, poly.space)
         order = [term[key] for key in target.indices()]
-        points = coordinate_angles(cfg, active)
+        draw = lambda lo, hi: angle_rows(cfg, active, lo, hi)
     stack = weights[moving][:, order, None] * C[order]  # (rows, terms, dim), in target's term order
-    x = np.empty((len(stack), cfg.samples))
-    for lo, values in value_chunks(target, points, stack):
-        x[:, lo : lo + values.shape[1]] = row_norms(values, poly.space)
+    S = cfg.samples
+    chunk, monomials = series.monomial_map(target)
+    x = np.empty((len(stack), S))
+
+    def share(starts):
+        work, values = [], np.empty((min(chunk, S), poly.space.dim), dtype=np.complex128)
+        for lo in starts:
+            E = monomials(draw(lo, min(lo + chunk, S)), work)
+            v = values[: E.shape[0]]
+            for row, c in zip(x, stack):
+                np.matmul(E, c, out=v)
+                row[lo : lo + len(v)] = row_norms(v, poly.space)
+
+    starts = range(0, S, chunk)
+    n = min(_worker_count(), len(starts))
+    _in_parallel(share, [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)])
     for r, norms in zip(np.flatnonzero(moving), x):
         out[r] = [mc_estimate(norms, p, cfg) for p in ps]
     return out

@@ -184,26 +184,24 @@ def poisson_convolve_numeric(
         return PowerPoly._moved(dict(P.items()), P.space)
 
     d = P.space.dim
-    axes = tuple(range(m))
-    values = np.concatenate(list(lattice_value_chunks(P, G))).reshape((G,) * m + (d,))
-    spectrum = np.fft.fftn(values, axes=axes)
+    spectrum = np.empty((G,) * m + (d,), dtype=np.complex128)
+    flat, lo = spectrum.reshape(-1, d), 0
+    for block in lattice_value_chunks(P, G):
+        flat[lo : lo + len(block)] = block
+        lo += len(block)
+    np.fft.fftn(spectrum, axes=tuple(range(m)), out=spectrum)
 
-    # per-coordinate kernel on the lattice offsets, transformed once each
+    # per-coordinate kernel on the lattice offsets, transformed once each;
+    # only the support's entries of the product spectrum are formed
     ell = np.arange(G)
+    alphas = list(P.coeffs)
+    idx = np.array([alpha.exponents + (0,) * (m - len(alpha.exponents)) for alpha in alphas]).T
+    coeffs = spectrum[tuple(idx)]
     for j in range(m):
         rj = r.radii[j]
         kj = (1.0 - rj**2) / np.abs(1.0 - rj * np.exp(2j * math.pi * ell / G)) ** 2
-        shape = [1] * (m + 1)
-        shape[j] = G
-        spectrum *= np.fft.fft(kj).reshape(shape)
-    coeff_spectrum = spectrum / G ** (2 * m)
-
-    out = {}
-    for alpha in P.coeffs:
-        dense = alpha.exponents
-        idx = dense + (0,) * (m - len(dense))
-        out[alpha] = coeff_spectrum[idx]
-    return PowerPoly(out, P.space)
+        coeffs *= np.fft.fft(kj)[idx[j], None]
+    return PowerPoly(dict(zip(alphas, coeffs / G ** (2 * m))), P.space)
 
 
 def contraction_check(

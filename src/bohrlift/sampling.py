@@ -8,10 +8,11 @@ Two sampling schemes target the same Haar average over T^m:
   equidistributes because the log-primes are rationally independent, so
   both schemes estimate the same integral.
 
-All randomness flows through ``numpy.random.default_rng(seed)`` and all
+All randomness is the stream of ``numpy.random.default_rng(seed)``, drawn
+by row ranges that start a ``PCG64`` at their first double, and all
 means are reduced over a fixed pairwise tree on the sample index, so a
 given (samples, seed, scheme) triple reproduces bit-for-bit no matter
-how the work is scheduled.
+how the work is split or scheduled.
 """
 
 from __future__ import annotations
@@ -54,9 +55,14 @@ class SamplerConfig:
         return SamplerConfig(self.samples, seed, self.scheme)
 
 
-def kronecker_times(cfg: SamplerConfig) -> np.ndarray:
-    """The Kronecker scheme's flow times: cfg.samples uniform draws from [0, KRONECKER_SPAN)."""
-    return np.random.default_rng(cfg.seed).uniform(0.0, KRONECKER_SPAN, size=cfg.samples)
+def _stream(seed: int, skip: int) -> np.random.Generator:
+    """default_rng(seed) past its first `skip` doubles: random() takes one 64-bit output per double."""
+    return np.random.Generator(np.random.PCG64(seed).advance(skip))
+
+
+def time_rows(cfg: SamplerConfig, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the Kronecker scheme's flow times, cfg.samples uniform draws from [0, KRONECKER_SPAN)."""
+    return _stream(cfg.seed, lo).uniform(0.0, KRONECKER_SPAN, size=hi - lo)
 
 
 def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
@@ -66,42 +72,46 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     return coordinate_angles(cfg, range(m))
 
 
-#: Angles drawn per block when coordinate_angles discards unused columns:
+#: Angles drawn per block when angle_rows discards unused columns:
 #: 2**16 doubles, 512 KiB, small enough to stay cache-resident.
 _ANGLE_BLOCK = 65_536
 
 
-def coordinate_angles(cfg: SamplerConfig, positions) -> np.ndarray:
-    """Columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit.
+def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of coordinate_angles(cfg, positions), bit for bit.
 
-    Only these columns are stored, so a polynomial whose support uses k
-    of m coordinates costs a (samples, k) array.  Kronecker angles are
-    computed at these coordinates alone.  The iid stream runs through
-    every row of m angles, the uniform(0, 2 pi) draw of a (samples, m)
-    array, so that a seed keeps its stream whichever columns are kept;
-    when some are dropped it is drawn a block of rows at a time into one
+    Kronecker angles are computed at these coordinates alone, from the
+    flow times of `time_rows`.  The iid stream runs through every row
+    of m = positions[-1] + 1 angles, the uniform(0, 2 pi) draw of a
+    (samples, m) array, so that a seed keeps its stream whichever
+    columns are kept; row lo starts lo * m doubles into it.  When some
+    columns are dropped it is drawn a block of rows at a time into one
     reused buffer.
     """
     positions = list(positions)
     if cfg.scheme == KRONECKER_QMC:
-        t = kronecker_times(cfg)
         logs = np.array([math.log(nth_prime(j)) for j in positions])
-        return np.mod(-np.outer(t, logs), 2.0 * math.pi)
+        return np.mod(-np.outer(time_rows(cfg, lo, hi), logs), 2.0 * math.pi)
     m = positions[-1] + 1 if positions else 0
-    rng = np.random.default_rng(cfg.seed)
-    out = np.empty((cfg.samples, len(positions)))
+    rng = _stream(cfg.seed, lo * m)
+    out = np.empty((hi - lo, len(positions)))
     # uniform(0, 2 pi) is 2 pi times random(), bit for bit
     if len(positions) == m:  # every column kept
         rng.random(out=out)
         out *= 2.0 * math.pi
         return out
     rows = max(1, _ANGLE_BLOCK // m)
-    block = np.empty((min(rows, cfg.samples), m))
-    for lo in range(0, cfg.samples, rows):
-        drawn = block[: min(rows, cfg.samples - lo)]
+    block = np.empty((min(rows, hi - lo), m))
+    for a in range(0, hi - lo, rows):
+        drawn = block[: min(rows, hi - lo - a)]
         rng.random(out=drawn)
-        np.multiply(drawn[:, positions], 2.0 * math.pi, out=out[lo : lo + drawn.shape[0]])
+        np.multiply(drawn[:, positions], 2.0 * math.pi, out=out[a : a + drawn.shape[0]])
     return out
+
+
+def coordinate_angles(cfg: SamplerConfig, positions) -> np.ndarray:
+    """Columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit (see `angle_rows`)."""
+    return angle_rows(cfg, positions, 0, cfg.samples)
 
 
 #: Largest leaf of the pairwise summation tree.

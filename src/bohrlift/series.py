@@ -253,9 +253,12 @@ def monomial_map(poly):
     costs one cos and one sin per base value, never more than one per
     term, and one complex multiply per term, whatever the degrees.  The
     map returns the (S, terms) matrix of monomials, columns in
-    coeff_matrix(poly) order, in a work buffer that its next call on as
-    many points overwrites; S must not exceed the chunk size, which
-    keeps the (terms + 1, S) work matrix within _CHUNK_ENTRIES.
+    coeff_matrix(poly) order, in a work buffer that its next call
+    overwrites; S must not exceed the chunk size, which keeps the
+    (terms + 1, S) work matrix within _CHUNK_ENTRIES.  The plan itself
+    is read-only, so threads may share it: each passes its own list as
+    `work`, which the first call fills with chunk-sized work arrays
+    (without one, the plan's own are used).
     """
     power = isinstance(poly, PowerPoly)
     if power:
@@ -299,15 +302,20 @@ def monomial_map(poly):
         neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
         phases = lambda t, out: np.multiply.outer(neg_logs, t, out=out)
     widest = max((hi - lo for lo, hi, _, _ in levels), default=0)
-    buffers = {}  # point count -> work arrays, reused so that no chunk pays for fresh pages
+    rows, terms, k = len(order), len(columns), len(bases)
+    chunk = max(1, _CHUNK_ENTRIES // rows)
+    # entries per point of each work array: phases, M, base, parents, factors, picked and E
+    sizes = (k, rows, k, widest, widest, terms, terms)
+    own = []
 
-    def monomials(points: np.ndarray) -> np.ndarray:
+    def monomials(points: np.ndarray, work: list | None = None) -> np.ndarray:
         S = points.shape[0]
-        if S not in buffers:
-            rows, terms, k = len(order), len(columns), len(bases)
-            shapes = (rows, S), (k, S), (widest, S), (widest, S), (terms, S), (S, terms)
-            buffers[S] = [np.empty((k, S))] + [np.empty(s, dtype=np.complex128) for s in shapes]
-        phase, M, base, parents, factors, picked, E = buffers[S]
+        work = own if work is None else work
+        if not work:  # chunk-sized arrays; fewer points use the front of each
+            work.append(np.empty(k * chunk))
+            work.extend(np.empty(n * chunk, dtype=np.complex128) for n in sizes[1:])
+        phase, M, base, parents, factors, picked, E = (w[: n * S].reshape(n, S) for w, n in zip(work, sizes))
+        E = E.reshape(S, terms)
         phases(points, phase)
         # cos and sin, not a complex exp: on x86 the complex exp loop runs
         # tenfold slower after a BLAS call that leaves the upper halves of
@@ -325,33 +333,22 @@ def monomial_map(poly):
         np.copyto(E, picked.T)
         return E
 
-    return max(1, _CHUNK_ENTRIES // len(order)), monomials
-
-
-def value_chunks(poly, points: np.ndarray, coeffs: np.ndarray):
-    """(lo, values) per chunk of points, in the form `monomial_map` takes, from one plan.
-
-    coeffs stacks k coefficient matrices in coeff_matrix(poly) order, and
-    values is their (k, n, dim) block at points[lo : lo + n], held in one
-    buffer that the next chunk overwrites: memory follows the chunk, not
-    the point count.  Chunk boundaries depend only on the point and term
-    counts, so seeded runs reproduce exactly.
-    """
-    chunk, monomials = monomial_map(poly)
-    block = np.empty((coeffs.shape[0], min(chunk, points.shape[0]), coeffs.shape[2]), dtype=np.complex128)
-    for lo in range(0, points.shape[0], chunk):
-        E = monomials(points[lo : lo + chunk])
-        values = block[:, : E.shape[0]]
-        for v, c in zip(values, coeffs):
-            np.matmul(E, c, out=v)
-        yield lo, values
+    return chunk, monomials
 
 
 def evaluate(poly, points: np.ndarray) -> np.ndarray:
-    """(S, dim) values of poly at S points, in the form `monomial_map` takes (see `value_chunks`)."""
+    """(S, dim) values of poly at S points, in the form `monomial_map` takes.
+
+    Points go through one plan a chunk at a time, so work memory follows
+    the chunk, not the point count.  Chunk boundaries depend only on
+    the point and term counts, so seeded runs reproduce exactly.
+    """
+    chunk, monomials = monomial_map(poly)
+    C = coeff_matrix(poly)
     out = np.empty((points.shape[0], poly.space.dim), dtype=np.complex128)
-    for lo, values in value_chunks(poly, points, coeff_matrix(poly)[None]):
-        out[lo : lo + values.shape[1]] = values[0]
+    for lo in range(0, points.shape[0], chunk):
+        E = monomials(points[lo : lo + chunk])
+        np.matmul(E, C, out=out[lo : lo + E.shape[0]])
     return out
 
 
@@ -401,13 +398,18 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
     rows = max(1, min(Q, _CHUNK_ENTRIES // (width * dim)))
     W = np.empty((S, width), dtype=np.complex128)
     U = np.empty((Q, width), dtype=np.complex128)
+    # U[q] is the conjugate of U[-q]: cos is even and sin odd, bit for bit, and so
+    # is the phase qSh log n, so only the rows q >= 0 and an unpaired q_lo are computed
+    mirror = min(-q_lo, q_hi)
+    unpaired = -mirror - q_lo
     for lo in range(0, len(neg_logs), width):
         logs = neg_logs[lo : lo + width]
         w = len(logs)
-        for table, times in ((W[:, :w], j_times), (U[:, :w], q_times)):
+        for table, times in ((W[:, :w], j_times), (U[:unpaired, :w], q_times[:unpaired]), (U[-q_lo:, :w], q_times[-q_lo:])):
             np.multiply.outer(times, logs, out=table.imag)
             np.cos(table.imag, out=table.real)
             np.sin(table.imag, out=table.imag)
+        np.conjugate(U[mirror - q_lo : -q_lo : -1, :w], out=U[unpaired:-q_lo, :w])
         for qa in range(0, Q, rows):
             qb = min(Q, qa + rows)
             UC = U[qa:qb, :w].T[:, :, None] * C[lo : lo + w, None, :]  # (w, q, dim)

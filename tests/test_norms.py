@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,9 +16,16 @@ from bohrlift import (
     DirichletPoly,
     MultiIndex,
     PowerPoly,
+    RadiusVector,
     SamplerConfig,
     bohr_lift,
+    c0_style_family,
+    contraction_check,
+    eps_norm_profile,
     gallery,
+    hilbert_criterion,
+    hplus_norm,
+    log_bound_experiment,
     norm_h2_exact,
     norm_hinf_grid,
     norm_hp_mc,
@@ -27,8 +37,10 @@ from bohrlift import (
     vertical_mean_diagnostic,
     vertical_sup,
 )
+from bohrlift import norms, series
 from bohrlift.errors import DimensionCapError, NoClosedFormError
 from bohrlift.norms import lattice_value_chunks, mc_estimate
+from bohrlift.sampling import time_rows
 from bohrlift.series import evaluate
 from bohrlift.spaces import row_norms, vector_norm
 from conftest import ON_2_AND_7, random_dirichlet
@@ -287,6 +299,87 @@ def test_mc_memory_follows_the_used_coordinates(rng):
     finally:
         tracemalloc.stop()
     assert est.samples == 50_000
+    assert peak <= 32 * 2**20
+
+
+# -- the chunk-parallel Monte Carlo pass --------------------------------------
+
+# C^2 coefficients on primes 2, 3, 5, 7 and 13, with chained terms (4 = 2 * 2, 12 = 4 * 3)
+PARALLEL = DirichletPoly(
+    {1: [1.0, 0.5j], 2: [0.5, -1.0], 3: [0.25j, 0.75], 4: [-0.5, 0.5], 12: [1.0, 1.0j], 35: [0.3, 0.0], 13: [0.0, -0.8]},
+    CoeffSpace(2),
+)
+PARALLEL_CHUNK = series.monomial_map(bohr_lift(PARALLEL))[0]
+
+
+def seeded_outputs(cfg):
+    """Every Monte Carlo caller's output at cfg, each through the one Monte Carlo pass."""
+    P = bohr_lift(PARALLEL)
+    return [
+        norm_hp_mc(PARALLEL, 4.0, cfg),
+        norm_p_limit_check(PARALLEL, [1.0, 3.0, 8.0], cfg),
+        eps_norm_profile(PARALLEL, 4.0, [0.25, 1.0], cfg),
+        hplus_norm(PARALLEL, 3.0, cfg),
+        contraction_check(P, RadiusVector([0.6] * P.width), 4.0, cfg),
+        log_bound_experiment(lambda N: gallery("zeta_shift", N), 4.0, [4, 16], cfg),
+        hilbert_criterion(c0_style_family(8), 4.0, 3, cfg),
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+@pytest.mark.parametrize("samples", [1, PARALLEL_CHUNK, PARALLEL_CHUNK + 1, 20_000])
+def test_seeded_outputs_do_not_depend_on_the_worker_count(monkeypatch, scheme, samples):
+    cfg = SamplerConfig(samples, 5, scheme)
+    monkeypatch.setattr(norms, "_worker_count", lambda: 1)
+    serial = seeded_outputs(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching often: a misplaced write would show
+    try:
+        for workers in (2, 3):
+            monkeypatch.setattr(norms, "_worker_count", lambda: workers)
+            assert seeded_outputs(cfg) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    # and every split reads the plain evaluation at the whole-sample draw
+    P = bohr_lift(PARALLEL)
+    target, points = (P, torus_angles(cfg, P.width)) if scheme == "iid" else (PARALLEL, time_rows(cfg, 0, samples))
+    assert serial[0] == mc_estimate(row_norms(evaluate(target, points), PARALLEL.space), 4.0, cfg)
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(norms, "_worker_count", lambda: 2)
+    build = series.monomial_map
+
+    def failing_in_workers(poly):
+        chunk, monomials = build(poly)
+
+        def monomials_or_fail(points, work=None):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)  # late, so that only a join can see it
+                raise RuntimeError("worker failed")
+            return monomials(points, work)
+
+        return chunk, monomials_or_fail
+
+    monkeypatch.setattr(series, "monomial_map", failing_in_workers)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        norm_hp_mc(PARALLEL, 4.0, SamplerConfig(3 * PARALLEL_CHUNK, 0))
+    assert threading.active_count() == before
+
+
+def test_mc_memory_follows_the_chunk_not_the_samples():
+    # width 424 with 24 used coordinates: 200,000 (samples, 24) angles alone would take 37 MiB
+    primes = primes_up_to(3000)
+    D = DirichletPoly({1: [1.0, 0.0], **{q: [0.5, 0.25j] for q in primes[:423:19] + [primes[423]]}}, CoeffSpace(2))
+    assert (bohr_lift(D).width, len(D)) == (424, 25)
+    tracemalloc.start()
+    try:
+        est = norm_hp_mc(D, 4.0, SamplerConfig(200_000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 200_000
     assert peak <= 32 * 2**20
 
 

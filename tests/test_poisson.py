@@ -1,13 +1,16 @@
 """Poisson kernels and radial smoothing of power polynomials."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bohrlift import (
     EMPTY_INDEX,
+    CoeffSpace,
     DirichletPoly,
+    MultiIndex,
     PowerPoly,
     RadiusVector,
     SamplerConfig,
@@ -23,6 +26,7 @@ from bohrlift import (
 )
 from bohrlift import series
 from bohrlift.errors import DimensionCapError
+from bohrlift.norms import lattice_value_chunks
 
 
 def test_kernel_point_values():
@@ -111,6 +115,56 @@ def test_exact_vs_numeric_width_three_vector():
     # ~0.6^31 ~ 1e-7 here, doubling the grid pushes it below double rounding
     assert max_coeff_gap(E, poisson_convolve_numeric(P, r, 32)) > 1e-9
     assert max_coeff_gap(E, poisson_convolve_numeric(P, r, 64)) < 1e-9
+
+
+def full_array_poisson(P, r, G):
+    """The quadrature formula on whole G^m arrays: every lattice value, its spectrum, every kernel product."""
+    m, d = P.width, P.space.dim
+    values = np.concatenate(list(lattice_value_chunks(P, G))).reshape((G,) * m + (d,))
+    spectrum = np.fft.fftn(values, axes=tuple(range(m)))
+    ell = np.arange(G)
+    for j in range(m):
+        rj = r.radii[j]
+        kj = (1.0 - rj**2) / np.abs(1.0 - rj * np.exp(2j * math.pi * ell / G)) ** 2
+        shape = [1] * (m + 1)
+        shape[j] = G
+        spectrum *= np.fft.fft(kj).reshape(shape)
+    spectrum = spectrum / G ** (2 * m)
+    return {alpha: spectrum[alpha.exponents + (0,) * (m - len(alpha.exponents))] for alpha in P.coeffs}
+
+
+def random_power_poly(rng, width, terms, dim):
+    exponents = {tuple(int(e) for e in rng.integers(0, 4, size=width)) for _ in range(terms)}
+    return PowerPoly(
+        {MultiIndex(a): rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for a in exponents},
+        CoeffSpace(dim),
+    )
+
+
+@pytest.mark.parametrize("width, dim, G", [(1, 1, 9), (2, 3, 16), (3, 2, 64), (4, 2, 12)])
+def test_numeric_poisson_is_the_full_array_formula_bit_for_bit(width, dim, G):
+    # support entries only, in the same order of operations: the same bits
+    rng = np.random.default_rng(width)
+    for _ in range(3):
+        P = random_power_poly(rng, width, 10, dim)
+        r = RadiusVector(rng.uniform(0.3, 0.6, size=width).tolist())
+        reference = full_array_poisson(P, r, G)
+        N = poisson_convolve_numeric(P, r, G)
+        assert N.coeffs.keys() == reference.keys()
+        assert all(v.tobytes() == reference[alpha].tobytes() for alpha, v in N.items())
+
+
+def test_numeric_poisson_memory_is_one_lattice_array():
+    # G = 64, m = 3, dim 2: one spectrum array is 8 MiB; the full-array formula peaks at 24 MiB
+    P = random_power_poly(np.random.default_rng(3), 3, 10, 2)
+    assert P.width == 3
+    tracemalloc.start()
+    try:
+        poisson_convolve_numeric(P, RadiusVector([0.4, 0.5, 0.6]), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_constant_preserved():

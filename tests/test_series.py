@@ -318,6 +318,42 @@ def test_line_grid_on_vector_coefficients():
     assert relative_gap(got, direct_grid_values(D, 1e3, 4001)) <= 1e-11
 
 
+def grid_values_with_direct_tables(D, h, T):
+    """_line_grid_values with every row of both tables from its own cos and sin, in the same blocks."""
+    c, S = (T - 1) // 2, math.isqrt(T - 1) + 1
+    q_lo, q_hi = -c // S, (T - 1 - c) // S
+    Q, dim = q_hi - q_lo + 1, D.space.dim
+    out = np.zeros((T, dim), dtype=np.complex128)
+    neg_logs = -np.log(np.array(D.indices(), dtype=np.float64))
+    C = series.coeff_matrix(D)
+    width = max(1, min(len(neg_logs), series._CHUNK_ENTRIES // (S + Q)))
+    rows = max(1, min(Q, series._CHUNK_ENTRIES // (width * dim)))
+    W = np.empty((S, width), dtype=np.complex128)
+    U = np.empty((Q, width), dtype=np.complex128)
+    for lo in range(0, len(neg_logs), width):
+        logs = neg_logs[lo : lo + width]
+        w = len(logs)
+        for table, times in ((W[:, :w], (np.arange(S) - 0.5 * (1 - T % 2)) * h), (U[:, :w], np.arange(q_lo, q_hi + 1) * S * h)):
+            np.multiply.outer(times, logs, out=table.imag)
+            np.cos(table.imag, out=table.real)
+            np.sin(table.imag, out=table.imag)
+        for qa in range(0, Q, rows):
+            qb = min(Q, qa + rows)
+            UC = U[qa:qb, :w].T[:, :, None] * C[lo : lo + w, None, :]
+            V = (W[:, :w] @ UC.reshape(w, -1)).reshape(S, qb - qa, dim).swapaxes(0, 1).reshape(-1, dim)
+            k = (q_lo + qa) * S + c
+            out[max(k, 0) : k + len(V)] += V[max(-k, 0) : T - k]
+    return out
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 8, 101, 1000, 8193])
+def test_line_grid_mirrored_table_is_the_direct_one_bit_for_bit(T):
+    # U rows for q < 0 are conjugates of those for -q; T = 2 and 3 have no pair to mirror
+    for D in (gallery("zeta_shift", 300), gallery("c0", 40)):
+        for h in (0.01, 1.0, 50.0):
+            assert series._line_grid_values(D, h, T).tobytes() == grid_values_with_direct_tables(D, h, T).tobytes()
+
+
 def test_line_grid_keeps_indices_with_huge_prime_factors():
     D = DirichletPoly({1: 1.0, 2**61 - 1: 1.0, 3 * (2**61 - 1): -1.0j})
     _, h = grid_nodes(100.0, 1001)

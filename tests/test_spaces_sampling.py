@@ -17,7 +17,7 @@ from bohrlift import (
     pairwise_sum,
     torus_angles,
 )
-from bohrlift.sampling import KRONECKER_SPAN, coordinate_angles
+from bohrlift.sampling import _ANGLE_BLOCK, KRONECKER_SPAN, angle_rows, coordinate_angles, time_rows
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
 
@@ -121,6 +121,31 @@ def test_kronecker_angles_follow_the_flow():
     logs = np.log([nth_prime(j) for j in range(3)])
     expect = np.mod(-t[:, None] * logs[None, :], 2.0 * np.pi)
     assert np.allclose(a, expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 5, 300])
+def test_iid_row_ranges_are_rows_of_the_full_draw(m):
+    # numpy's random() takes one 64-bit output per double, so PCG64.advance(lo * m)
+    # starts row lo of the uniform draw; ranges start off the block boundaries
+    cfg = SamplerConfig(1000, 8)
+    full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(1000, m))
+    block = _ANGLE_BLOCK // m
+    ranges = [(0, 1000), (0, 1), (1, 2), (217, 999), (999, 1000), (block - 1, block + 1)]
+    for positions in (list(range(m)), [m - 1], sorted({0, m // 2, m - 1})):
+        for lo, hi in ranges:
+            lo, hi = min(lo, 999), min(hi, 1000)
+            assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi, positions])
+
+
+def test_kronecker_row_ranges_are_rows_of_the_full_draw():
+    cfg = SamplerConfig(1000, 11, KRONECKER_QMC)
+    t = np.random.default_rng(11).uniform(0.0, KRONECKER_SPAN, 1000)
+    positions = [0, 3, 7]
+    full = coordinate_angles(cfg, positions)
+    assert np.array_equal(time_rows(cfg, 0, 1000), t)
+    for lo, hi in ((0, 1), (333, 777), (999, 1000)):
+        assert np.array_equal(time_rows(cfg, lo, hi), t[lo:hi])
+        assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi])
 
 
 def test_pairwise_sum_matches_fsum():
