@@ -148,6 +148,9 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+_WORK_BUDGET = 24 * _CHUNK_ENTRIES  # work-array entries of all Monte Carlo workers together, whatever the CPU count
+
+
 def _in_parallel(task, parts) -> None:
     """task(part) for every part, the first in this thread and each other in its own; raises after the join."""
     errors = []
@@ -181,12 +184,13 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     torus angles on the k coordinates its support uses, the columns of
     the full-width torus_angles: Haar measure is a product, so the
     other coordinates integrate out.  The chunks are split into
-    contiguous shares, one per CPU (`_worker_count`): each worker draws
-    its chunks' rows of the seeded stream and reduces each chunk's
-    values to norms, one weight row at a time.  Neither chunks nor
-    streams depend on the split, so no value does.  A row whose weights
-    vanish off the constant term gets its exact norm (every H_p norm of
-    a constant is the coefficient norm), with no samples.
+    contiguous shares, one per CPU (`_worker_count`) while the workers'
+    work arrays fit _WORK_BUDGET: each worker draws its chunks' rows of
+    the seeded stream and reduces each chunk's values to norms, one
+    weight row at a time.  Neither chunks nor streams depend on the
+    split, so no value does.  A row whose weights vanish off the
+    constant term gets its exact norm (every H_p norm of a constant is
+    the coefficient norm), with no samples.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -211,7 +215,7 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
         draw = lambda lo, hi: angle_rows(cfg, active, lo, hi)
     stack = weights[moving][:, order, None] * C[order]  # (rows, terms, dim), in target's term order
     S = cfg.samples
-    chunk, monomials = series.monomial_map(target)
+    chunk, work_entries, monomials = series.monomial_map(target)
     x = np.empty((len(stack), S))
 
     def share(starts):
@@ -224,7 +228,7 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
                 row[lo : lo + len(v)] = row_norms(v, poly.space)
 
     starts = range(0, S, chunk)
-    n = min(_worker_count(), len(starts))
+    n = min(_worker_count(), len(starts), max(1, _WORK_BUDGET // work_entries))
     _in_parallel(share, [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)])
     for r, norms in zip(np.flatnonzero(moving), x):
         out[r] = [mc_estimate(norms, p, cfg) for p in ps]

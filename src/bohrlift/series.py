@@ -241,7 +241,7 @@ def coeff_matrix(poly) -> np.ndarray:
 
 
 def monomial_map(poly):
-    """Multiplicative plan for poly's monomials: (points per chunk, map from points to monomials).
+    """Multiplicative plan for poly's monomials: (points per chunk, work entries, map from points to monomials).
 
     A monomial is a product of factor powers: z_j^e with z_j =
     exp(i theta_j) at torus angles theta of shape (S, >= width) for a
@@ -256,9 +256,9 @@ def monomial_map(poly):
     coeff_matrix(poly) order, in a work buffer that its next call
     overwrites; S must not exceed the chunk size, which keeps the
     (terms + 1, S) work matrix within _CHUNK_ENTRIES.  The plan itself
-    is read-only, so threads may share it: each passes its own list as
-    `work`, which the first call fills with chunk-sized work arrays
-    (without one, the plan's own are used).
+    is read-only, so threads may share it: each caller passes its own
+    list as `work`, which the first call fills with chunk-sized work
+    arrays; the work entries returned are their total size.
     """
     power = isinstance(poly, PowerPoly)
     if power:
@@ -306,11 +306,9 @@ def monomial_map(poly):
     chunk = max(1, _CHUNK_ENTRIES // rows)
     # entries per point of each work array: phases, M, base, parents, factors, picked and E
     sizes = (k, rows, k, widest, widest, terms, terms)
-    own = []
 
-    def monomials(points: np.ndarray, work: list | None = None) -> np.ndarray:
+    def monomials(points: np.ndarray, work: list) -> np.ndarray:
         S = points.shape[0]
-        work = own if work is None else work
         if not work:  # chunk-sized arrays; fewer points use the front of each
             work.append(np.empty(k * chunk))
             work.extend(np.empty(n * chunk, dtype=np.complex128) for n in sizes[1:])
@@ -333,7 +331,7 @@ def monomial_map(poly):
         np.copyto(E, picked.T)
         return E
 
-    return chunk, monomials
+    return chunk, sum(sizes) * chunk, monomials
 
 
 def evaluate(poly, points: np.ndarray) -> np.ndarray:
@@ -343,11 +341,12 @@ def evaluate(poly, points: np.ndarray) -> np.ndarray:
     the chunk, not the point count.  Chunk boundaries depend only on
     the point and term counts, so seeded runs reproduce exactly.
     """
-    chunk, monomials = monomial_map(poly)
+    chunk, _, monomials = monomial_map(poly)
     C = coeff_matrix(poly)
     out = np.empty((points.shape[0], poly.space.dim), dtype=np.complex128)
+    work = []
     for lo in range(0, points.shape[0], chunk):
-        E = monomials(points[lo : lo + chunk])
+        E = monomials(points[lo : lo + chunk], work)
         np.matmul(E, C, out=out[lo : lo + E.shape[0]])
     return out
 
@@ -398,8 +397,8 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
     rows = max(1, min(Q, _CHUNK_ENTRIES // (width * dim)))
     W = np.empty((S, width), dtype=np.complex128)
     U = np.empty((Q, width), dtype=np.complex128)
-    # U[q] is the conjugate of U[-q]: cos is even and sin odd, bit for bit, and so
-    # is the phase qSh log n, so only the rows q >= 0 and an unpaired q_lo are computed
+    # U[q] is the conjugate of U[-q]: cos is even and sin odd, bit for bit as measured on numpy 2.4
+    # (x86-64, AVX-512), and so is qSh log n, so only the rows q >= 0 and an unpaired q_lo are computed
     mirror = min(-q_lo, q_hi)
     unpaired = -mirror - q_lo
     for lo in range(0, len(neg_logs), width):

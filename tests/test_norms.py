@@ -287,8 +287,9 @@ def test_iid_estimate_of_a_dirichlet_polynomial_is_that_of_its_lift(D):
     assert norm_hp_mc(D, 4.0, cfg) == mc_estimate(x, 4.0, cfg)
 
 
-def test_mc_memory_follows_the_used_coordinates(rng):
+def test_mc_memory_follows_the_used_coordinates(monkeypatch, rng):
     # width 415, 24 used coordinates: full-width angles alone would take 158 MiB
+    monkeypatch.setattr(norms, "_worker_count", lambda: 16)  # the work budget, not the CPUs, bounds the workers
     primes = primes_up_to(3000)[:415:18]
     D = DirichletPoly({1: [1.0, 0.0], **{q: rng.normal(size=2) for q in primes}}, CoeffSpace(2))
     assert (bohr_lift(D).width, len(primes)) == (415, 24)
@@ -351,15 +352,15 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     build = series.monomial_map
 
     def failing_in_workers(poly):
-        chunk, monomials = build(poly)
+        chunk, work_entries, monomials = build(poly)
 
-        def monomials_or_fail(points, work=None):
+        def monomials_or_fail(points, work):
             if threading.current_thread() is not threading.main_thread():
                 time.sleep(0.05)  # late, so that only a join can see it
                 raise RuntimeError("worker failed")
             return monomials(points, work)
 
-        return chunk, monomials_or_fail
+        return chunk, work_entries, monomials_or_fail
 
     monkeypatch.setattr(series, "monomial_map", failing_in_workers)
     before = threading.active_count()
@@ -368,8 +369,9 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_mc_memory_follows_the_chunk_not_the_samples():
+def test_mc_memory_follows_the_chunk_not_the_samples(monkeypatch):
     # width 424 with 24 used coordinates: 200,000 (samples, 24) angles alone would take 37 MiB
+    monkeypatch.setattr(norms, "_worker_count", lambda: 16)
     primes = primes_up_to(3000)
     D = DirichletPoly({1: [1.0, 0.0], **{q: [0.5, 0.25j] for q in primes[:423:19] + [primes[423]]}}, CoeffSpace(2))
     assert (bohr_lift(D).width, len(D)) == (424, 25)

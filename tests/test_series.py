@@ -166,13 +166,13 @@ def test_evaluation_independent_of_chunk_size(monkeypatch, rng, entries):
     sizes = []
 
     def recording_plan(poly):
-        chunk, monomials = plan(poly)
+        chunk, work_entries, monomials = plan(poly)
 
-        def recorded(points):
+        def recorded(points, work):
             sizes.append(points.shape[0])
-            return monomials(points)
+            return monomials(points, work)
 
-        return chunk, recorded
+        return chunk, work_entries, recorded
 
     monkeypatch.setattr(series, "monomial_map", recording_plan)
     # a cap of k * rows entries gives chunks of exactly k points

@@ -22,6 +22,7 @@ from bohrlift import (
     translate,
     twist,
 )
+from bohrlift import norms
 from bohrlift.errors import EstimatorInconsistencyError
 from bohrlift.translations import EPS_CROSS_CHECK
 from conftest import ON_2_AND_7, random_dirichlet
@@ -177,8 +178,9 @@ def test_profile_memory_stays_chunked():
     assert peak <= 32 * 2**20
 
 
-def test_profile_memory_follows_the_chunk_on_vector_coefficients():
+def test_profile_memory_follows_the_chunk_on_vector_coefficients(monkeypatch):
     # (21 rows, 10,000 samples, 64) values of gallery("c0", 64) alone would take 205 MiB
+    monkeypatch.setattr(norms, "_worker_count", lambda: 16)  # the work budget, not the CPUs, bounds the workers
     tracemalloc.start()
     try:
         rows = eps_norm_profile(gallery("c0", 64), 4.0, None, SamplerConfig(10_000, 0))
