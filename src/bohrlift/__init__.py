@@ -13,14 +13,12 @@ restriction-norm membership probe.
 from .analysis import (
     BOUNDED_SO_FAR,
     DIVERGENT_TREND,
-    CoeffFamily,
     CriterionReport,
     c0_style_family,
     cayley,
     cayley_inv,
     hilbert_criterion,
     khintchine_linear,
-    materialize_family,
     normalize_for_schwarz,
     pointwise_eval_bound_h2,
     schwarz_bound_check,
@@ -106,7 +104,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BOUNDED_SO_FAR",
     "DIVERGENT_TREND",
-    "CoeffFamily",
     "CriterionReport",
     "CoeffSpace",
     "DimensionCapError",
@@ -153,7 +150,6 @@ __all__ = [
     "loads_dirichlet",
     "loads_power",
     "log_bound_experiment",
-    "materialize_family",
     "max_coeff_gap",
     "norm_h2_exact",
     "norm_hinf_grid",

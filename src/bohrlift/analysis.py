@@ -10,35 +10,33 @@ Three groups of tools:
   ||f(z)|| <= max_j |z_j| for f(0) = 0 and sup norm below one, and the
   H_2 evaluation bound ||f(z)|| <= ||f||_2 prod_j (1 - |z_j|^2)^{-1/2},
   sharp on truncations of the product reproducing kernel.
-- A membership probe for coefficient families: materialize f_{m_max},
-  estimate the norms of its restrictions f_m to the first m coordinates
-  on one sample set, and watch whether the non-decreasing sequence
-  ||f_m|| stalls (membership so far) or keeps climbing (divergence
-  trend).
+- A membership probe for coefficient families.  A family is a function
+  m -> f_m giving the restriction of a formal power series to its first
+  m coordinates, as `log_bound_experiment` takes a function N -> D.  The
+  probe builds f_{m_max} once, estimates the norms of its restrictions
+  f_m on one sample set, and watches whether the non-decreasing
+  sequence ||f_m|| stalls (membership so far) or keeps climbing
+  (divergence trend).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .gallery import gallery
 from .multiindex import EMPTY_INDEX, MultiIndex
 from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp_rows
-from .primes import factorize, index_of
 from .sampling import SamplerConfig
-from .series import PowerPoly, power_eval, restrict
-from .spaces import CoeffSpace, SCALAR, vector_norm
+from .series import PowerPoly, bohr_lift, power_eval, restrict
+from .spaces import SCALAR, vector_norm
 
 BOUNDED_SO_FAR = "BOUNDED_SO_FAR"
 DIVERGENT_TREND = "DIVERGENT_TREND"
-
-#: Total-degree cutoff when a coefficient family is materialized without
-#: an explicit support hint.
-DEFAULT_DEGREE_CAP = 12
 
 #: Relative increment of ||f_m|| below which `hilbert_criterion` sees a stall.
 STALL_TOL = 1e-3
@@ -50,19 +48,21 @@ def cayley(z: complex) -> complex:
     Sends 0 to 1 and the disc onto the open right half-plane.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"|z| = {abs(z)} is not inside the unit disc")
     return (1.0 + z) / (1.0 - z)
 
 
 def cayley_inv(s: complex) -> complex:
-    """Inverse map s -> (s - 1)/(s + 1); needs Re s >= 0.
+    """Inverse map s -> (s - 1)/(s + 1); needs finite s with Re s >= 0.
 
     The open half-plane returns to the open disc; the boundary line
     Re s = 0 lands on the unit circle (used by the Stolz ratio).
     """
     s = complex(s)
-    if s.real < 0.0:
+    if not cmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
+    if not s.real >= 0.0:
         raise ValueError(f"Re s = {s.real} is negative")
     return (s - 1.0) / (s + 1.0)
 
@@ -88,6 +88,13 @@ def stolz_ratio(eps: float, t: float) -> tuple[float, float]:
     return lhs, rhs
 
 
+def _polydisc_point(z) -> np.ndarray:
+    z = np.asarray(list(z), dtype=np.complex128)
+    if not np.all(np.abs(z) < 1.0):
+        raise ValueError("z must lie strictly inside the polydisc")
+    return z
+
+
 def schwarz_bound_check(P: PowerPoly, z) -> tuple[float, float]:
     """Value and bound for the Schwarz inequality ||P(z)|| <= max_j |z_j|.
 
@@ -98,13 +105,9 @@ def schwarz_bound_check(P: PowerPoly, z) -> tuple[float, float]:
     """
     if EMPTY_INDEX in P:
         raise ValueError("P must vanish at 0 (no constant term)")
-    z = np.asarray(list(z), dtype=np.complex128)
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("z must lie strictly inside the polydisc")
-    m = P.width
-    if z.shape[0] < m:
-        raise ValueError(f"need at least {m} coordinates, got {z.shape[0]}")
+    z = _polydisc_point(z)
     value = vector_norm(power_eval(P, z), P.space)
+    m = P.width
     bound = float(np.abs(z[:m]).max()) if m else 0.0
     return value, bound
 
@@ -134,11 +137,7 @@ def pointwise_eval_bound_h2(P: PowerPoly, z) -> tuple[float, float]:
     """
     if not P.space.euclidean:
         raise ValueError("the evaluation bound is Euclidean-only; use l2 coefficients")
-    z = np.asarray(list(z), dtype=np.complex128)
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("z must lie strictly inside the polydisc")
-    if z.shape[0] < P.width:
-        raise ValueError(f"need at least {P.width} coordinates, got {z.shape[0]}")
+    z = _polydisc_point(z)
     value = vector_norm(power_eval(P, z), P.space)
     factors = 1.0 / np.sqrt(1.0 - np.abs(z) ** 2)
     bound = norm_h2_exact(P).value * float(np.prod(factors))
@@ -160,57 +159,7 @@ def khintchine_linear(xi, m: int) -> tuple[PowerPoly, float]:
     return poly, norm
 
 
-# -- coefficient families and the restriction criterion ------------------------
-
-
-@dataclass(frozen=True)
-class CoeffFamily:
-    """A deterministic rule alpha -> coefficient, with a label.
-
-    ``generator`` must be pure: the value at alpha never depends on m,
-    so the materialized restrictions are genuinely nested.  ``support``
-    optionally lists candidate indices for a given width, sparing the
-    materializer a blind scan over all indices below the degree cap; its
-    candidates of width <= m must not depend on the width asked for.
-    """
-
-    label: str
-    space: CoeffSpace
-    generator: Callable[[MultiIndex], object]
-    support: Callable[[int], Iterable[MultiIndex]] | None = None
-
-
-def _canonical_indices(m: int, degree_cap: int):
-    """All multi-indices of width <= m and total degree <= degree_cap."""
-    yield EMPTY_INDEX
-
-    def build(left: int, prefix: list[int]):
-        for e in range(0, left + 1):
-            cur = prefix + [e]
-            if e > 0:
-                yield MultiIndex(cur)
-            if len(cur) < m:
-                yield from build(left - e, cur)
-
-    yield from build(degree_cap, [])
-
-
-def materialize_family(
-    family: CoeffFamily, m: int, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> PowerPoly:
-    """The restriction f_m: coefficients supported on the first m coordinates.
-
-    Indices beyond the degree cap are not materialized; families used
-    with the criterion should be exactly representable under the cap.
-    """
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    candidates = family.support(m) if family.support is not None else _canonical_indices(m, degree_cap)
-    out = {}
-    for alpha in candidates:
-        if alpha.width <= m and alpha.degree <= degree_cap and alpha not in out:
-            out[alpha] = family.generator(alpha)
-    return PowerPoly(out, family.space)
+# -- the restriction criterion -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -234,7 +183,7 @@ class CriterionReport:
 
 
 def hilbert_criterion(
-    family: CoeffFamily,
+    family: Callable[[int], PowerPoly],
     p: float,
     m_max: int,
     cfg: SamplerConfig | None = None,
@@ -243,8 +192,9 @@ def hilbert_criterion(
 ) -> CriterionReport:
     """Membership probe: does sup_m ||f_m||_{H_p} look finite?
 
-    Estimates ||f_m|| for m = 1..m_max as restrictions of f_{m_max},
-    materialized once: lattice sups for p = infinity, else one
+    ``family`` maps m to the restriction f_m and is called once, for
+    f_{m_max}; ||f_m|| for m = 1..m_max are read off the restrictions of
+    that one polynomial: lattice sups for p = infinity, else one
     `norm_hp_rows` call with the weight rows 1[width(alpha) <= m] (exact
     Parseval for p = 2 with Euclidean coefficients, else Monte Carlo on
     one sample set, every row with cfg.seed).  The verdict is
@@ -254,7 +204,9 @@ def hilbert_criterion(
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    P = materialize_family(family, m_max)
+    P = family(m_max)
+    if not isinstance(P, PowerPoly):
+        raise TypeError(f"family({m_max}) must return a PowerPoly, got {type(P).__name__}")
     ms = range(1, m_max + 1)
     if math.isinf(p):
         estimates = [norm_hinf_grid(restrict(P, m), grid_per_dim) for m in ms]
@@ -267,49 +219,27 @@ def hilbert_criterion(
     return CriterionReport(tuple(zip(ms, estimates)), verdict, max(values))
 
 
-def unit_direction_family(cap: int | None = None) -> CoeffFamily:
-    """Coefficient 1 at every alpha = e_k (k < cap when capped), else 0.
+def unit_direction_family(cap: int | None = None) -> Callable[[int], PowerPoly]:
+    """m -> f_m with coefficient 1 at alpha = e_k for k < min(m, cap).
 
-    The restriction f_m is the sum of the first min(m, cap) coordinate
-    functions, with exact H_2 norm sqrt(min(m, cap)): bounded when
-    capped, growing like sqrt(m) when not.
+    f_m is the sum of the first min(m, cap) coordinate functions, with
+    exact H_2 norm sqrt(min(m, cap)): bounded when capped, growing like
+    sqrt(m) when not.
     """
-
-    def gen(alpha: MultiIndex):
-        pairs = alpha.pairs
-        if len(pairs) == 1 and pairs[0][1] == 1 and (cap is None or pairs[0][0] < cap):
-            return 1.0
-        return 0.0
-
-    def support(m: int):
-        top = m if cap is None else min(m, cap)
-        return [MultiIndex.unit(k) for k in range(top)]
-
-    label = "unit-directions" if cap is None else f"unit-directions-first-{cap}"
-    return CoeffFamily(label, SCALAR, gen, support)
+    return lambda m: PowerPoly(
+        {MultiIndex.unit(k): 1.0 for k in range(m if cap is None else min(m, cap))}, SCALAR
+    )
 
 
-def c0_style_family(size: int) -> CoeffFamily:
-    """Standard basis vectors as coefficients: e_n at alpha(n), n <= size.
+def c0_style_family(size: int) -> Callable[[int], PowerPoly]:
+    """m -> restrict(bohr_lift(gallery("c0", size)), m), lifted once.
 
-    The coefficients of gallery("c0", size), in (C^size, linf).  Every
-    coefficient has norm one (no decay at all), yet each restriction has
-    sup norm exactly one: at any torus point the entries are unimodular
-    monomial values, so the max is 1.  The family is the finite-
-    dimensional shadow of a c_0-valued series whose membership no
-    coefficient-decay test would predict.
+    Standard basis vectors as coefficients: e_n at alpha(n), n <= size,
+    in (C^size, linf).  Every coefficient has norm one (no decay at
+    all), yet each restriction has sup norm exactly one: at any torus
+    point the entries are unimodular monomial values, so the max is 1.
+    The family is the finite-dimensional shadow of a c_0-valued series
+    whose membership no coefficient-decay test would predict.
     """
-    D = gallery("c0", size)
-    zero = np.zeros(size)
-
-    def gen(alpha: MultiIndex):
-        try:
-            n = index_of(alpha)
-        except OverflowError:
-            return zero
-        return D.get(n, zero)
-
-    def support(m: int):
-        return [factorize(n) for n in D.indices()]
-
-    return CoeffFamily(f"c0-style-{size}", D.space, gen, support)
+    P = bohr_lift(gallery("c0", size))
+    return lambda m: restrict(P, m)

@@ -58,7 +58,7 @@ class RadiusVector:
 
 
 def _check_unimodular(w: np.ndarray, name: str) -> None:
-    if np.any(np.abs(np.abs(w) - 1.0) > 1e-9):
+    if not np.all(np.abs(np.abs(w) - 1.0) <= 1e-9):
         raise ValueError(f"{name} must lie on the unit circle")
 
 
@@ -71,7 +71,7 @@ def kernel_1d(omega, z):
     omega = np.asarray(omega, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     _check_unimodular(omega, "omega")
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):
         raise ValueError("z must lie strictly inside the unit disc")
     num = np.abs(omega) ** 2 - np.abs(z) ** 2
     den = np.abs(omega - z) ** 2
@@ -79,13 +79,8 @@ def kernel_1d(omega, z):
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_m(omega, z, r: RadiusVector):
-    """Product kernel K(omega, r z) = prod_j K(omega_j, r_j z_j) on the torus.
-
-    omega and z are torus points (unimodular entries) of shape (..., m)
-    with m <= len(r).  Equals the multi-series
-    sum_{alpha in Z^m} omega^{-alpha} z^alpha r^{|alpha|}.
-    """
+def _torus_pair(omega, z, r: RadiusVector) -> tuple[np.ndarray, np.ndarray, int]:
+    """Torus points omega and z of one shape (..., m), m <= len(r), and m."""
     omega = np.asarray(omega, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     if omega.shape != z.shape:
@@ -95,6 +90,17 @@ def kernel_m(omega, z, r: RadiusVector):
         raise ValueError(f"radius vector has {len(r)} entries, need {m}")
     _check_unimodular(omega, "omega")
     _check_unimodular(z, "z")
+    return omega, z, m
+
+
+def kernel_m(omega, z, r: RadiusVector):
+    """Product kernel K(omega, r z) = prod_j K(omega_j, r_j z_j) on the torus.
+
+    omega and z are torus points (unimodular entries) of shape (..., m)
+    with m <= len(r).  Equals the multi-series
+    sum_{alpha in Z^m} omega^{-alpha} z^alpha r^{|alpha|}.
+    """
+    omega, z, m = _torus_pair(omega, z, r)
     rv = np.array(r.radii[:m], dtype=np.float64)
     num = 1.0 - rv**2
     den = np.abs(omega - rv * z) ** 2
@@ -112,9 +118,7 @@ def kernel_m_series(omega, z, r: RadiusVector, terms: int):
     """
     if terms < 0:
         raise ValueError("terms must be non-negative")
-    omega = np.asarray(omega, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    m = omega.shape[-1] if omega.ndim else 0
+    omega, z, m = _torus_pair(omega, z, r)
     total = np.ones(omega.shape[:-1], dtype=np.complex128)
     for j in range(m):
         u = z[..., j] / omega[..., j]
@@ -173,8 +177,7 @@ def poisson_convolve_numeric(
     m = P.width
     if m > dim_cap:
         raise DimensionCapError(f"quadrature over {m} coordinates exceeds the cap {dim_cap}")
-    if len(r) < m:
-        raise ValueError(f"radius vector has {len(r)} entries, polynomial width is {m}")
+    _check_radii(P, r)
     max_deg = max((e for alpha in P.coeffs for _, e in alpha.pairs), default=0)
     if G <= 2 * max_deg + 1:
         raise ValueError(

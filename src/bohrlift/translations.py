@@ -47,7 +47,7 @@ class TwistPoint:
         for k, w in enumerate(angles):
             w = complex(w)
             r = abs(w)
-            if abs(r - 1.0) > 1e-9:
+            if not abs(r - 1.0) <= 1e-9:
                 raise ValueError(f"angle {k} has modulus {r}, expected 1")
             normalized.append(w / r)
         object.__setattr__(self, "angles", tuple(normalized))

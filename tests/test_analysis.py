@@ -9,10 +9,12 @@ from bohrlift import (
     BOUNDED_SO_FAR,
     DIVERGENT_TREND,
     EMPTY_INDEX,
-    CoeffFamily,
     DirichletPoly,
     MultiIndex,
+    PowerPoly,
+    RadiusVector,
     SamplerConfig,
+    TwistPoint,
     bohr_lift,
     bohr_transform,
     c0_style_family,
@@ -20,8 +22,10 @@ from bohrlift import (
     cayley_inv,
     gallery,
     hilbert_criterion,
+    kernel_1d,
+    kernel_m,
+    kernel_m_series,
     khintchine_linear,
-    materialize_family,
     norm_h2_exact,
     norm_hp_mc,
     normalize_for_schwarz,
@@ -59,6 +63,39 @@ def test_cayley_rejects_outside():
         cayley(2.0j)
     with pytest.raises(ValueError):
         cayley_inv(-0.5)  # left half-plane
+
+
+NAN = float("nan")
+_Z1 = PowerPoly({MultiIndex.unit(0): 0.5})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TwistPoint([NAN]),
+        lambda: TwistPoint.from_phases([NAN]),
+        lambda: kernel_1d(NAN, 0.5),
+        lambda: kernel_1d(1.0, NAN),
+        lambda: kernel_m([NAN], [1.0], RadiusVector([0.5])),
+        lambda: kernel_m([1.0], [NAN], RadiusVector([0.5])),
+        lambda: kernel_m_series([NAN], [1.0], RadiusVector([0.5]), 4),
+        lambda: kernel_m_series([1.0], [NAN], RadiusVector([0.5]), 4),
+        lambda: cayley(NAN),
+        lambda: cayley_inv(NAN),
+        lambda: cayley_inv(complex(0.0, NAN)),
+        lambda: stolz_ratio(0.5, NAN),
+        lambda: schwarz_bound_check(_Z1, [NAN, 0.1]),
+        lambda: pointwise_eval_bound_h2(_Z1, [0.1, NAN]),
+    ],
+    ids=[
+        "twist-point", "twist-phases", "kernel_1d-omega", "kernel_1d-z", "kernel_m-omega", "kernel_m-z",
+        "kernel_m_series-omega", "kernel_m_series-z", "cayley", "cayley_inv", "cayley_inv-imag",
+        "stolz_ratio-t", "schwarz", "pointwise-h2",
+    ],
+)
+def test_nan_inputs_are_refused_at_the_boundary(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_stolz_ratio_frozen_values():
@@ -141,10 +178,10 @@ def test_khintchine_linear():
 
 def test_materialize_unit_directions():
     fam = unit_direction_family(None)
-    P3 = materialize_family(fam, 3)
+    P3 = fam(3)
     assert set(P3.indices()) == {MultiIndex.unit(k) for k in range(3)}
     fam5 = unit_direction_family(5)
-    P8 = materialize_family(fam5, 8)
+    P8 = fam5(8)
     assert len(P8.indices()) == 5
 
 
@@ -208,7 +245,7 @@ def test_criterion_rows_past_the_cap_are_equal(scheme):
 def test_criterion_rows_are_the_restrictions_on_one_sample_set(monkeypatch):
     family = unit_direction_family()
     cfg = SamplerConfig(3000, 4, "kronecker")
-    P = materialize_family(family, 5)
+    P = family(5)
     expected = [norm_hp_mc(restrict(P, m), 4.0, cfg).value for m in range(1, 6)]
     plans = []
     build = series.monomial_map
@@ -221,10 +258,9 @@ def test_criterion_rows_are_the_restrictions_on_one_sample_set(monkeypatch):
 
 def test_criterion_constant_restriction_is_exact():
     # f_1 is the constant 2; the one other term lives on the second coordinate
-    def gen(alpha):
-        return 2.0 if alpha == EMPTY_INDEX else 1.0
+    def family(m):
+        return restrict(PowerPoly({EMPTY_INDEX: 2.0, MultiIndex.unit(1): 1.0}), m)
 
-    family = CoeffFamily("constant-then-z2", None, gen, support=lambda m: [EMPTY_INDEX, MultiIndex.unit(1)])
     (_, first), (_, second) = hilbert_criterion(family, 4.0, 2, SamplerConfig(1000, 0)).per_m
     assert (first.value, first.method, first.samples, first.std_error) == (2.0, "exact_parseval", 0, 0.0)
     assert second.method == "torus_mc"
@@ -242,20 +278,39 @@ def test_criterion_rows_name_their_estimator():
     assert methods(unit_direction_family(3), math.inf, grid_per_dim=4) == {"torus_grid_sup"}
 
 
-def test_custom_family_via_dataclass():
-    def gen(alpha):
-        return 1.0 if alpha.degree <= 1 else 0.0
+def test_criterion_runs_a_user_defined_family():
+    # any function m -> f_m is a family; here f_m = 1 + z_1 + ... + z_m
+    calls = []
 
-    fam = CoeffFamily("affine", None, gen, support=None)
-    P = materialize_family(fam, 2, degree_cap=3)
+    def affine(m):
+        calls.append(m)
+        return PowerPoly({EMPTY_INDEX: 1.0, **{MultiIndex.unit(k): 1.0 for k in range(m)}})
+
+    P = affine(2)
     assert MultiIndex(()) in P
     assert MultiIndex((1,)) in P
     assert MultiIndex((0, 1)) in P
-    assert MultiIndex((2,)) not in P  # generator zeroed the higher degrees
+    assert MultiIndex((2,)) not in P
+    calls.clear()
+    report = hilbert_criterion(affine, 2.0, 4)
+    assert calls == [4]
+    for m, est in report.per_m:
+        assert est.method == "exact_parseval"
+        assert est.value == pytest.approx(math.sqrt(m + 1), abs=1e-12)
+    assert report.verdict == DIVERGENT_TREND
+
+
+def test_criterion_rejects_a_family_that_is_not_a_power_polynomial():
+    with pytest.raises(TypeError, match="PowerPoly"):
+        hilbert_criterion(lambda m: DirichletPoly({1: 1.0, 2: 1.0}), 2.0, 3)
 
 
 def test_c0_family_is_the_gallery_c0():
-    assert materialize_family(c0_style_family(8), 4) == bohr_lift(gallery("c0", 8))
+    P = bohr_lift(gallery("c0", 8))
+    family = c0_style_family(8)
+    assert family(4) == P
+    for m in range(1, 6):
+        assert family(m) == restrict(P, m)
 
 
 def test_criterion_c0_family_default_grid():

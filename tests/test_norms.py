@@ -449,6 +449,32 @@ def test_c0_gallery_lattice_sup_is_one(width):
     assert norm_hinf_grid(D, 6).value == pytest.approx(1.0, abs=1e-12)
 
 
+C0_16 = gallery("c0", 16)
+
+
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_c0_gallery_torus_norm_is_one(scheme):
+    # the entries of D_16 at any torus point are unimodular, so every sample norm is 1
+    est = norm_hp_mc(C0_16, 4.0, SamplerConfig(4000, 5, scheme))
+    assert abs(est.value - 1.0) <= 1e-12
+    assert est.std_error <= 1e-12
+
+
+def test_c0_gallery_limit_rows_translates_and_hplus_are_one():
+    cfg = SamplerConfig(2000, 3)
+    rows = norm_p_limit_check(C0_16, [1, 2, 8, 64], cfg)
+    rows += eps_norm_profile(C0_16, 3.0, [1.0, 0.1], cfg)  # the n = 1 entry keeps its modulus
+    rows += [(None, hplus_norm(C0_16, 4.0, cfg))]
+    assert len(rows) == 7
+    for _, est in rows:
+        assert abs(est.value - 1.0) <= 1e-12
+
+
+def test_c0_gallery_line_mean_and_sup_are_one():
+    assert abs(vertical_mean(C0_16, 4.0, 100.0, 1001).value - 1.0) <= 1e-12
+    assert abs(vertical_sup(C0_16, 100.0, 1001).value - 1.0) <= 1e-12
+
+
 def test_lattice_scan_memory_follows_one_block(rng):
     # 16^5 lattice points at dim 2: the whole lattice of values alone is 2 MiB, and
     # contracting the trailing axes of the full tensor first holds d_1 + 1 slices

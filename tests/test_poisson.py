@@ -52,6 +52,14 @@ def test_kernel_validation():
         kernel_1d(1.1, 0.5)  # omega must be unimodular
     with pytest.raises(ValueError):
         kernel_1d(1.0, 1.0)  # z must be strictly inside
+    # the series takes the product kernel's torus points
+    r = RadiusVector([0.5])
+    with pytest.raises(ValueError, match="omega must lie on the unit circle"):
+        kernel_m_series([2.0], [1.0], r, terms=4)
+    with pytest.raises(ValueError, match="z must lie on the unit circle"):
+        kernel_m_series([1.0], [0.5], r, terms=4)
+    with pytest.raises(ValueError, match="radius vector has 1 entries, need 2"):
+        kernel_m_series([1.0, 1.0], [1.0, 1.0], r, terms=4)
 
 
 def test_kernel_m_is_product():
