@@ -114,15 +114,18 @@ def check_p(p: float) -> None:
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
 
 
-def _scaled_powers(x: np.ndarray, p: float) -> tuple[np.ndarray, int]:
-    """(x / 2^k)^p and k, with 2^k the power of two just above max(x).
+def _scaled_powers(x: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """(x / m)^p and m, with m = max(x).
 
-    The largest scaled value lies in [1/2, 1), so at large p the powers
-    neither overflow nor all underflow; a power mean of x is 2^k times
-    that of x / 2^k, and scaling by 2^k is exact.
+    The largest scaled value is exactly 1, so at any p the powers
+    neither overflow nor all underflow (their mean is at least 1 over
+    the count); a power mean of x is m times that of x / m.  An x whose
+    largest value is zero or not finite is left unscaled (m = 1).
     """
-    k = math.frexp(float(x.max()))[1]
-    return np.ldexp(x, -k) ** p, k
+    m = float(x.max())
+    if not 0.0 < m < math.inf:
+        m = 1.0
+    return (x / m) ** p, m
 
 
 def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
@@ -132,7 +135,7 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
     samples) / p with relvar the sample variance of x^p / (mean of x^p),
     which does not underflow at large p as the variance of x^p would.
     """
-    xp, k = _scaled_powers(x, p)
+    xp, m = _scaled_powers(x, p)
     mean = pairwise_mean(xp)
     value = mean ** (1.0 / p)
     if cfg.samples > 1 and value > 0.0:
@@ -140,7 +143,7 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
         std_error = value * math.sqrt(relvar / cfg.samples) / p
     else:
         std_error = 0.0
-    return NormEstimate(math.ldexp(value, k), TORUS_MC, math.ldexp(std_error, k), cfg.samples, cfg.seed)
+    return NormEstimate(m * value, TORUS_MC, m * std_error, cfg.samples, cfg.seed)
 
 
 def _worker_count() -> int:
@@ -371,9 +374,9 @@ def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormE
     """
     check_p(p)
     vals, dt, R, T = _line_norms(D, R, t_samples)
-    vp, k = _scaled_powers(vals, p)
+    vp, m = _scaled_powers(vals, p)
     integral = (pairwise_sum(vp) - 0.5 * (vp[0] + vp[-1])) * dt
-    value = math.ldexp((integral / (2.0 * R)) ** (1.0 / p), k)
+    value = m * float(integral / (2.0 * R)) ** (1.0 / p)
     return NormEstimate(value, VERTICAL_MEAN, 0.0, T, 0, R=R)
 
 

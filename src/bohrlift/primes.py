@@ -100,10 +100,16 @@ def nth_prime(position: int) -> int:
     if position < 0:
         raise ValueError("position must be non-negative")
     while position >= len(_primes):
+        cap = _size_cap()
         k = max(position + 1, 6)
-        # p_k < k (ln k + ln ln k) for k >= 6, so one growth step suffices
+        # k ln k < p_k < k (ln k + ln ln k) for k >= 6: past the cap at once when the lower
+        # bound is; otherwise one growth step, to the cap at most, reaches p_k or the cap
+        if _limit >= cap or k * math.log(k) > cap:
+            raise SieveCapError(
+                f"the prime at position {position} lies past the cap {cap}; raise {SIEVE_CAP_ENV} to allow it"
+            )
         bound = int(k * (math.log(k) + math.log(math.log(k)))) + 16
-        _grow(max(bound, 2 * _limit))
+        _grow(min(max(bound, 2 * _limit), cap))
     return _primes[position]
 
 
@@ -184,6 +190,50 @@ def factorize(n: int) -> MultiIndex:
     return MultiIndex._trusted(pairs)
 
 
+def factorize_all(ns: list[int]) -> list[MultiIndex]:
+    """[factorize(n) for n in ns], with the n the factor table covers factored together.
+
+    Those walk the smallest-prime-factor chain as one vector per round
+    (one round per prime factor counted with multiplicity); every other
+    n, past the table or invalid, takes the scalar `factorize`.
+    """
+    cap = _size_cap()
+    top = max((n for n in ns if n <= cap), default=1)
+    if top > _limit:
+        _grow(top)
+    spf, prime_array = _spf, _prime_array  # read after the growth: both cover top
+    out: list = [None] * len(ns)
+    batch = []
+    for i, n in enumerate(ns):
+        if 1 < n <= top:
+            batch.append(i)
+        else:
+            out[i] = factorize(n)
+    if not batch:
+        return out
+    rest = np.array([ns[i] for i in batch], dtype=np.int64)
+    term = np.arange(len(batch))
+    terms, factors = [], []
+    while rest.size:  # rounds yield each term's prime factors in increasing order
+        p = spf[rest]
+        terms.append(term)
+        factors.append(p)
+        rest //= p
+        live = rest > 1
+        rest, term = rest[live], term[live]
+    term = np.concatenate(terms)
+    order = np.argsort(term, kind="stable")
+    term, factor = term[order], np.concatenate(factors)[order]
+    # one pair per run of equal (term, factor): position of the factor and the run length
+    starts = np.flatnonzero(np.r_[True, (term[1:] != term[:-1]) | (factor[1:] != factor[:-1])])
+    exps = np.diff(np.r_[starts, term.size])
+    pairs = list(zip(np.searchsorted(prime_array, factor[starts]).tolist(), exps.tolist()))
+    bounds = np.flatnonzero(np.r_[True, term[starts][1:] != term[starts][:-1], True]).tolist()
+    for i, lo, hi in zip(batch, bounds, bounds[1:]):
+        out[i] = MultiIndex._trusted(tuple(pairs[lo:hi]))
+    return out
+
+
 def index_of(alpha: MultiIndex) -> int:
     """Integer addressed by a multi-index: index_of(()) = 1, index_of((2, 1)) = 12.
 
@@ -192,9 +242,10 @@ def index_of(alpha: MultiIndex) -> int:
     """
     n = 1
     for pos, e in alpha.pairs:
-        n *= nth_prime(pos) ** e
-        if n > MAX_INDEX:
-            raise IndexRangeError(
-                f"index_of({alpha.exponents}) exceeds the 64-bit index range"
+        p = nth_prime(pos)
+        # every prime is at least 2, so e >= 63 overflows; checked first, as p ** e takes forever at huge e
+        if e >= 63 or (n := n * p**e) > MAX_INDEX:
+            raise IndexRangeError(  # the pairs, not the dense exponents: a late position would spell out its zeros
+                f"index_of(pairs {list(map(list, alpha.pairs))}) exceeds the 64-bit index range"
             )
     return n

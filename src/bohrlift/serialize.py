@@ -4,6 +4,11 @@ Coefficients are stored as separate real and imaginary float lists so a
 dump/load cycle reproduces every float bit-for-bit (json emits shortest
 round-trip decimals) and every index exactly.  Coefficient lists are
 sorted, so parse -> serialize -> parse is the identity on canonical form.
+A power-side index is written sparse, as the [position, exponent] pairs
+of its `MultiIndex` (0-based positions increasing, exponents positive),
+so a document grows with the nonzero exponents, not with the width;
+version-1 documents, which give each index as a dense 'alpha' exponent
+list, still load.
 Loading rejects what JSON can say but a polynomial cannot mean: booleans
 where numbers belong, NaN and Infinity tokens, and (through the
 polynomial constructors) numbers that overflow to infinity.
@@ -32,8 +37,10 @@ def _space_from_dict(obj: Any) -> CoeffSpace:
     return CoeffSpace(obj["dim"], obj["norm"])
 
 
-def _vector_fields(v: np.ndarray) -> dict:
-    return {"re": [float(x) for x in v.real], "im": [float(x) for x in v.imag]}
+def _fields(poly, keys: list) -> zip:
+    """('re', 'im') lists of each key's coefficient, read off one stacked array."""
+    stack = np.array([poly[k] for k in keys], dtype=np.complex128).reshape(len(keys), poly.space.dim)
+    return zip(stack.real.tolist(), stack.imag.tolist())
 
 
 def _vectors_from_fields(entries: list, dim: int) -> np.ndarray:
@@ -53,7 +60,8 @@ def _vectors_from_fields(entries: list, dim: int) -> np.ndarray:
 
 
 def dirichlet_to_dict(D: DirichletPoly) -> dict:
-    coeffs = [{"n": n, **_vector_fields(D[n])} for n in D.indices()]
+    keys = D.indices()
+    coeffs = [{"n": n, "re": re, "im": im} for n, (re, im) in zip(keys, _fields(D, keys))]
     return {"space": _space_to_dict(D.space), "coeffs": coeffs}
 
 
@@ -76,10 +84,36 @@ def dirichlet_from_dict(obj: Any) -> DirichletPoly:
 
 
 def power_to_dict(P: PowerPoly) -> dict:
+    keys = P.indices()
     coeffs = [
-        {"alpha": list(alpha.exponents), **_vector_fields(P[alpha])} for alpha in P.indices()
+        {"pairs": list(map(list, alpha.pairs)), "re": re, "im": im}
+        for alpha, (re, im) in zip(keys, _fields(P, keys))
     ]
     return {"space": _space_to_dict(P.space), "coeffs": coeffs}
+
+
+def _power_index(entry: Any) -> MultiIndex:
+    """The multi-index of a coefficient entry: sparse 'pairs', or a version-1 dense 'alpha' list."""
+    if not isinstance(entry, dict) or ("pairs" in entry) == ("alpha" in entry):
+        raise ValueError("each coefficient needs exactly one of 'pairs' and 'alpha'")
+    if "alpha" in entry:
+        alpha_raw = entry["alpha"]
+        if not isinstance(alpha_raw, list) or not set(map(type, alpha_raw)) <= {int}:
+            raise ValueError(f"'alpha' must be a list of integers, got {alpha_raw!r}")
+        return MultiIndex(alpha_raw)
+    raw = entry["pairs"]
+    if not _are_pair_lists([raw]):
+        raise ValueError(f"'pairs' must be a list of [position, exponent] integer pairs, got {raw!r}")
+    return MultiIndex.from_pairs(map(tuple, raw))
+
+
+def _are_pair_lists(raws: list) -> bool:
+    """Whether every raw value is a list of [int, int] lists, in C-level passes over all of them."""
+    if not set(map(type, raws)) <= {list}:
+        return False
+    pairs = list(chain.from_iterable(raws))
+    # exact types: json gives bool for true
+    return set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} and set(map(type, chain.from_iterable(pairs))) <= {int}
 
 
 def power_from_dict(obj: Any) -> PowerPoly:
@@ -87,16 +121,15 @@ def power_from_dict(obj: Any) -> PowerPoly:
         raise ValueError("power polynomial must be an object with 'space' and 'coeffs'")
     space = _space_from_dict(obj["space"])
     entries = list(obj["coeffs"])
+    raws = [entry.get("pairs") if isinstance(entry, dict) and "alpha" not in entry else None for entry in entries]
+    # a document of well-typed sparse entries is checked in one pass; any other reads entry by entry
+    sparse = _are_pair_lists(raws)
     keys: dict[MultiIndex, None] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "alpha" not in entry:
-            raise ValueError("each coefficient needs an exponent list 'alpha'")
-        alpha_raw = entry["alpha"]
-        if not isinstance(alpha_raw, list) or not set(map(type, alpha_raw)) <= {int}:
-            raise ValueError(f"'alpha' must be a list of integers, got {alpha_raw!r}")
-        alpha = MultiIndex(alpha_raw)
+    for entry, raw in zip(entries, raws):
+        alpha = MultiIndex.from_pairs(map(tuple, raw)) if sparse else _power_index(entry)
         if alpha in keys:
-            raise ValueError(f"duplicate index {alpha.exponents}")
+            shown = alpha.exponents if "alpha" in entry else list(map(list, alpha.pairs))
+            raise ValueError(f"duplicate index {shown}")
         keys[alpha] = None
     return PowerPoly(dict(zip(keys, _vectors_from_fields(entries, space.dim))), space)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .multiindex import EMPTY_INDEX, MultiIndex
-from .primes import MAX_INDEX, factorize, index_of, primes_up_to, trial_factors
+from .primes import MAX_INDEX, factorize_all, index_of, primes_up_to, trial_factors
 from .spaces import CoeffSpace, SCALAR, as_coeff_array, vector_norm
 
 
@@ -32,6 +32,17 @@ def _infer_space(values) -> CoeffSpace:
         arr = np.atleast_1d(np.asarray(v))
         return CoeffSpace(arr.shape[0]) if arr.ndim == 1 else SCALAR
     return SCALAR
+
+
+def _coeff_stack(values: list, dim: int) -> np.ndarray | None:
+    """(terms, dim) complex array of the coefficients in one conversion; None if they do not stack so."""
+    try:
+        stack = np.array(values, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if stack.ndim == 1 and dim == 1:  # scalars
+        return stack.reshape(-1, 1)
+    return stack if stack.ndim == 2 and stack.shape[1] == dim else None
 
 
 def _check_space(a, b) -> None:
@@ -53,14 +64,23 @@ class _SparsePoly:
         if space is None:
             space = _infer_space(items.values())
         self._space = space
-        store = {}
-        for key, v in items.items():
-            key = self._key(key)
-            arr = as_coeff_array(v, space.dim)
-            if arr.any():
-                store[key] = arr
-        if store and not np.isfinite(np.concatenate(list(store.values()))).all():
+        stack = _coeff_stack(list(items.values()), space.dim)
+        if stack is None:
+            # mixed or bad forms: term by term, so an error names the first bad key or coefficient
+            rows = []
+            for key, v in items.items():
+                self._key(key)
+                rows.append(as_coeff_array(v, space.dim))
+            stack = np.array(rows, dtype=np.complex128).reshape(len(rows), space.dim)
+        keys = [self._key(key) for key in items]
+        if not np.isfinite(stack).all():
             raise ValueError("coefficients must be finite")
+        store = {}
+        for key, row, nonzero in zip(keys, stack, stack.any(axis=1).tolist()):
+            if nonzero:
+                row = row.copy()  # owns its memory: a view would keep the whole stack alive
+                row.setflags(write=False)
+                store[key] = row
         self._coeffs = store
 
     @classmethod
@@ -181,7 +201,7 @@ class PowerPoly(_SparsePoly):
 
 def bohr_lift(D: DirichletPoly) -> PowerPoly:
     """Move each coefficient a_n to the monomial z^alpha with n = prod p_j^alpha_j."""
-    return PowerPoly._moved({factorize(n): v for n, v in D.items()}, D.space)
+    return PowerPoly._moved(dict(zip(factorize_all(list(D._coeffs)), D._coeffs.values())), D.space)
 
 
 def bohr_transform(P: PowerPoly) -> DirichletPoly:

@@ -41,6 +41,19 @@ def test_lift_and_transform_roundtrip(tmp_path):
     assert loads_dirichlet(back.read_text()) == D
 
 
+@pytest.mark.parametrize(
+    "pairs", ["[[0, 1000000000000000000000000000000]]", "[[1000000000000000000, 1]]", "[[3, 1], [5, 63]]", "[[1000000, 63]]"]
+)
+def test_transform_refuses_an_index_past_the_64_bit_range(tmp_path, capsys, pairs):
+    # a short sparse document can name a huge exponent or position; both are bad input, found
+    # fast and reported in a line of the document's size
+    src = tmp_path / "p.json"
+    src.write_text(f'{{"space": {{"dim": 1, "norm": "l2"}}, "coeffs": [{{"pairs": {pairs}, "re": [1.0], "im": [0.0]}}]}}')
+    assert run_spec("transform", None, input_path=str(src)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 200
+
+
 def test_polynomials_travel_compact_and_results_stay_indented(tmp_path):
     D = DirichletPoly({1: 1.0, 2: 2.0, 6: 3.0, 97: -1.5j})
     src = tmp_path / "d.json"

@@ -138,6 +138,24 @@ def test_std_error_does_not_underflow_at_large_p(p):
     assert est.std_error == pytest.approx(value * math.sqrt(relvar / x.size) / p, rel=1e-9)
 
 
+def test_power_means_keep_a_value_at_p_1070():
+    # (1/2)^1070 underflows: the largest scaled sample norm must be 1 itself
+    D = DirichletPoly({1: 0.5, 2: 0.5 + 1e-6})
+    p, cfg = 1070.0, SamplerConfig(2000, 0)
+    x = np.abs(0.5 + (0.5 + 1e-6) * np.exp(1j * torus_angles(cfg, 1)[:, 0]))
+    logs = p * np.log(x)
+    value = math.exp((logs.max() + math.log(math.fsum(np.exp(logs - logs.max()).tolist()) / x.size)) / p)
+    assert norm_hp_mc(D, p, cfg).value == pytest.approx(value, rel=1e-9)
+    # the line's trapezoid rule, in the log domain too
+    R, T = 100.0, 1001
+    t = np.linspace(-R, R, T)
+    logs = p * np.log(np.abs(0.5 + (0.5 + 1e-6) * np.exp(-1j * t * math.log(2.0))))
+    w = np.full(T, 2.0 * R / (T - 1))
+    w[[0, -1]] /= 2.0
+    line = math.exp((logs.max() + math.log(math.fsum((w * np.exp(logs - logs.max())).tolist()) / (2.0 * R))) / p)
+    assert vertical_mean(D, p, R, T).value == pytest.approx(line, rel=1e-9)
+
+
 def test_mc_rejects_bad_p():
     with pytest.raises(ValueError):
         norm_hp_mc(TWO_TERM, 0.5, SamplerConfig(10, 0))

@@ -1,5 +1,6 @@
 """Factorization and its inverse over the prime multi-index encoding."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from bohrlift import EMPTY_INDEX, MAX_INDEX, MultiIndex, factorize, index_of, nth_prime, primes_up_to
 from bohrlift.errors import IndexRangeError, SieveCapError
 from bohrlift import primes as primes_module
-from bohrlift.primes import SIEVE_CAP_ENV, trial_factors
+from bohrlift.primes import SIEVE_CAP_ENV, sieve_limit, trial_factors
 
 
 def test_factorize_known_values():
@@ -60,6 +61,31 @@ def test_index_of_overflow():
     # a wide product of large primes overflows too
     with pytest.raises(IndexRangeError):
         index_of(MultiIndex.from_pairs([(k, 5) for k in range(40, 48)]))
+
+
+def test_index_of_refuses_a_huge_exponent_before_computing_the_power():
+    # 2 ** (10 ** 30) would never finish
+    with pytest.raises(IndexRangeError):
+        index_of(MultiIndex.from_pairs([(0, 10**30)]))
+    with pytest.raises(IndexRangeError):
+        index_of(MultiIndex.from_pairs([(3, 1), (5, 63)]))
+    assert index_of(MultiIndex.from_pairs([(0, 62)])) == 2**62
+
+
+def test_nth_prime_reaches_every_prime_under_the_cap(monkeypatch):
+    # the growth bound k (ln k + ln ln k) overshoots the cap for the last primes under it; a fresh
+    # table (as in a new process reading a lifted document) must still reach them
+    for name, fresh in (("_spf", np.zeros(2, dtype=np.int32)), ("_primes", []), ("_prime_array", np.zeros(0, dtype=np.int64)), ("_limit", 1)):
+        monkeypatch.setattr(primes_module, name, fresh)  # restored after the test, with the table it grows
+    monkeypatch.setenv(SIEVE_CAP_ENV, str(1 << 16))
+    assert nth_prime(6541) == 65521  # the largest prime below 2^16
+    with pytest.raises(SieveCapError, match="position 6542 lies past the cap 65536"):
+        nth_prime(6542)
+    # a position whose prime is surely past the cap fails without growing the table
+    monkeypatch.setenv(SIEVE_CAP_ENV, str(1 << 20))
+    with pytest.raises(SieveCapError, match="position 1000000 lies past the cap 1048576"):
+        nth_prime(10**6)
+    assert sieve_limit() == 1 << 16
 
 
 def test_large_prime_factor_stays_sparse():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrlift import (
+    EMPTY_INDEX,
     CoeffSpace,
     DirichletPoly,
     MultiIndex,
@@ -73,7 +74,103 @@ def test_schema_shape():
     assert doc["coeffs"] == [{"n": 2, "re": [1.0, 0.0], "im": [0.0, -1.0]}]
     P = PowerPoly({MultiIndex((0, 2)): 5.0})
     docp = json.loads(dumps(P))
-    assert docp["coeffs"][0]["alpha"] == [0, 2]
+    assert docp["coeffs"][0]["pairs"] == [[1, 2]]
+
+
+def test_version_one_documents_still_load():
+    # dense 'alpha' exponent lists, as written before the sparse 'pairs' encoding
+    doc = '{"space": {"dim": 1, "norm": "l2"}, "coeffs": [{"alpha": [0, 2], "re": [5.0], "im": [0.0]}]}'
+    assert loads_power(doc) == PowerPoly({MultiIndex((0, 2)): 5.0})
+    P = bohr_lift(_wide_vector_poly())
+    dense = {
+        "space": {"dim": 3, "norm": "linf"},
+        "coeffs": [
+            {"alpha": list(alpha.exponents), "re": P[alpha].real.tolist(), "im": P[alpha].imag.tolist()}
+            for alpha in P.indices()
+        ],
+    }
+    assert loads_power(json.dumps(dense)) == P
+    # one document may mix the two encodings, entry by entry
+    mixed = '{"space": {"dim": 1, "norm": "l2"}, "coeffs": [{"alpha": [0, 2], "re": [5.0], "im": [0.0]}, {"pairs": [[3, 1]], "re": [1.0], "im": [-1.0]}]}'
+    assert loads_power(mixed) == PowerPoly({MultiIndex((0, 2)): 5.0, MultiIndex.unit(3): 1 - 1j})
+
+
+def test_power_documents_write_sparse_pairs():
+    P = PowerPoly({MultiIndex.unit(99_999): 1.0, EMPTY_INDEX: 2.0, MultiIndex((3, 0, 1)): 1j})
+    assert json.loads(dumps(P))["coeffs"] == [
+        {"pairs": [], "re": [2.0], "im": [0.0]},
+        {"pairs": [[99999, 1]], "re": [1.0], "im": [0.0]},
+        {"pairs": [[0, 3], [2, 1]], "re": [0.0], "im": [1.0]},
+    ]  # dense lexicographic order of the exponent tuples
+    # the document grows with the stored pairs, not with the width
+    assert len(dumps(P)) < 250
+
+
+def test_dirichlet_documents_keep_their_bytes():
+    D = DirichletPoly(
+        {35: [-1.5, 1e300j], 1: [1.0, complex(-0.0, 0.0)], 6: [0.1 + 2j, 5e-324], 2: [1 / 3, -2.5e-7j]},
+        CoeffSpace(2, "l1"),
+    )
+    assert dumps(D) == (
+        '{"space": {"dim": 2, "norm": "l1"}, "coeffs": ['
+        '{"n": 1, "re": [1.0, -0.0], "im": [0.0, 0.0]}, '
+        '{"n": 2, "re": [0.3333333333333333, -0.0], "im": [0.0, -2.5e-07]}, '
+        '{"n": 6, "re": [0.1, 5e-324], "im": [2.0, 0.0]}, '
+        '{"n": 35, "re": [-1.5, 0.0], "im": [0.0, 1e+300]}]}'
+    )
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ("[[1, 2], [1, 3]]", "pairs must have increasing positions and positive exponents: ((1, 2), (1, 3))"),
+        ("[[4, 1], [2, 1]]", "pairs must have increasing positions and positive exponents: ((4, 1), (2, 1))"),
+        ("[[0, 0]]", "pairs must have increasing positions and positive exponents: ((0, 0),)"),
+        ("[[-1, 1]]", "pairs must have increasing positions and positive exponents: ((-1, 1),)"),
+        ("[[0, true]]", "'pairs' must be a list of [position, exponent] integer pairs, got [[0, True]]"),
+        ("[[0, 1.0]]", "'pairs' must be a list of [position, exponent] integer pairs, got [[0, 1.0]]"),
+        ("[[0, 1, 2]]", "'pairs' must be a list of [position, exponent] integer pairs, got [[0, 1, 2]]"),
+        ("[3]", "'pairs' must be a list of [position, exponent] integer pairs, got [3]"),
+        ('{"0": 1}', "'pairs' must be a list of [position, exponent] integer pairs, got {'0': 1}"),
+    ],
+)
+def test_pair_rejections_name_the_bad_entry(pairs, message):
+    # a valid entry first: a fault in a later entry is still named by that entry
+    doc = f'{{"space": {{"dim": 1, "norm": "l2"}}, "coeffs": [{{"pairs": [[0, 1]], "re": [1.0], "im": [0.0]}}, {{"pairs": {pairs}, "re": [1.0], "im": [0.0]}}]}}'
+    with pytest.raises(ValueError) as info:
+        loads_power(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", ['"pairs": [[0, 1]], "alpha": [1]', '"n": 2', '"re0": 1'])
+def test_entry_needs_exactly_one_index_encoding(key):
+    with pytest.raises(ValueError) as info:
+        loads_power(_doc(key))
+    assert str(info.value) == "each coefficient needs exactly one of 'pairs' and 'alpha'"
+
+
+@pytest.mark.parametrize("second", ['"pairs": [[1, 1]]', '"alpha": [0, 1]'])
+def test_duplicate_power_index_rejected_in_either_encoding(second):
+    doc = f'{{"space": {{"dim": 1, "norm": "l2"}}, "coeffs": [{{"pairs": [[1, 1]], "re": [1.0], "im": [0.0]}}, {{{second}, "re": [2.0], "im": [0.0]}}]}}'
+    with pytest.raises(ValueError, match="duplicate index"):
+        loads_power(doc)
+
+
+@st.composite
+def _power_polys(draw):
+    dim = draw(st.integers(1, 3))
+    index = st.dictionaries(st.integers(0, 10**5), st.integers(1, 40), max_size=4).map(
+        lambda d: MultiIndex.from_pairs(sorted(d.items()))
+    )
+    value = st.lists(st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)
+    coeffs = draw(st.dictionaries(index, value, max_size=8))
+    return PowerPoly(coeffs, CoeffSpace(dim, draw(st.sampled_from(["l1", "l2", "linf"]))))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_power_polys())
+def test_power_roundtrip_property(P):
+    assert loads_power(dumps(P)) == P
 
 
 def test_malformed_input_rejected():

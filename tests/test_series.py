@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlift import (
     EMPTY_INDEX,
@@ -15,7 +17,10 @@ from bohrlift import (
     bohr_lift,
     bohr_transform,
     dirichlet_line_values,
+    dumps,
+    factorize,
     gallery,
+    loads_dirichlet,
     max_coeff_gap,
     partial_sum,
     power_eval,
@@ -67,6 +72,65 @@ def test_space_mismatch_rejected():
 def test_non_finite_coefficients_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DirichletPoly({1: [1.0, 2.0], 2: [1.0, 2.0, 3.0]}), "coefficient has 3 entries, space has dim 2"),
+        (lambda: DirichletPoly({1: [1.0, 2.0], 2: 3.0}), "coefficient has 1 entries, space has dim 2"),
+        (lambda: DirichletPoly({1: [1.0, 2.0]}, CoeffSpace(3)), "coefficient has 2 entries, space has dim 3"),
+        (lambda: DirichletPoly({1: [[1.0]], 2: [[2.0]]}), "coefficient must be a scalar or 1-d sequence, got shape (1, 1)"),
+        (lambda: DirichletPoly({1: [1.0, 2.0], 3: [[1.0, 2.0]]}), "coefficient must be a scalar or 1-d sequence, got shape (1, 2)"),
+        (lambda: DirichletPoly({1: 1.0, 2: float("nan"), 3: [1.0]}), "coefficients must be finite"),
+        (lambda: PowerPoly({(1,): [1.0, float("inf")], (2,): [0.0, 0.0]}), "coefficients must be finite"),
+        # keys and values are read in order: the first bad one is named
+        (lambda: DirichletPoly({0: 1.0, 2: [1.0, 2.0]}), "Dirichlet indices start at 1, got 0"),
+        (lambda: DirichletPoly({2: [[1.0]], 0: 1.0}), "coefficient must be a scalar or 1-d sequence, got shape (1, 1)"),
+        (lambda: DirichletPoly({1: float("inf"), 0: 1.0}), "Dirichlet indices start at 1, got 0"),
+    ],
+)
+def test_bad_coefficients_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_mixed_scalar_and_vector_forms_still_construct():
+    D = DirichletPoly({1: 1.0, 2: [2.0], 3: np.array([0.0])})
+    assert D == DirichletPoly({1: 1.0, 2: 2.0})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DirichletPoly({1: 1.0, 5: 0.0, 6: -2j, 9: np.float64(3.0)}),
+        lambda: DirichletPoly({n: row for n, row in zip((2, 3, 7), np.arange(6.0).reshape(3, 2))}, CoeffSpace(2)),
+        lambda: PowerPoly({(1,): [1.0, 2.0], (0, 1): np.array([3.0, 0.5j])}),
+        lambda: loads_dirichlet(dumps(gallery("c0", 12))),
+        lambda: loads_dirichlet(dumps(gallery("random_unimodular", 40, seed=5))),
+    ],
+)
+def test_stored_coefficients_own_their_memory_and_are_read_only(make):
+    # a view into the constructor's stacked array would keep all of it alive
+    poly = make()
+    assert len(poly) > 0
+    for v in poly.coeffs.values():
+        assert v.base is None and v.flags.owndata and not v.flags.writeable
+        assert v.shape == (poly.space.dim,) and v.dtype == np.complex128
+
+
+_COVERED = st.integers(1, 2**20)
+_PAST_THE_TABLE = st.tuples(st.integers(1, 10**5), st.integers(25, 40)).map(lambda t: t[0] << t[1])  # > 2^24, the default cap
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sets(st.one_of(_COVERED, _PAST_THE_TABLE), max_size=30))
+def test_lift_factors_every_index_as_factorize_does(ns):
+    D = DirichletPoly({n: complex(k + 1, 1) for k, n in enumerate(ns)})
+    P = bohr_lift(D)
+    assert list(P.coeffs) == [factorize(n) for n in D.coeffs]  # key for key, in D's order
+    assert all(P[factorize(n)] is v for n, v in D.items())  # coefficients moved, not copied
 
 
 def test_bad_index_rejected():
