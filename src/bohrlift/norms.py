@@ -26,8 +26,8 @@ import numpy as np
 
 from . import series
 from .errors import DimensionCapError, NoClosedFormError
-from .multiindex import MultiIndex
-from .primes import factorize
+from .multiindex import EMPTY_INDEX, MultiIndex
+from .primes import factorize_all
 from .sampling import (
     KRONECKER_QMC,
     SamplerConfig,
@@ -180,36 +180,39 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     """Monte Carlo H_p estimates, at every p in ps, of each weighted polynomial sum_i w_i a_i z^alpha_i.
 
     weights holds one real row w per polynomial, in poly.indices()
-    order.  All estimates share one sample set: poly is lifted once,
-    and one monomial plan serves every chunk of points.  Under the
-    Kronecker scheme a Dirichlet polynomial is evaluated at the flow
-    times (omega^alpha(n) = n^{-it}); otherwise the lift is evaluated at
-    torus angles on the k coordinates its support uses, the columns of
-    the full-width torus_angles: Haar measure is a product, so the
-    other coordinates integrate out.  The chunks are split into
-    contiguous shares, one per CPU (`_worker_count`) while the workers'
-    work arrays fit _WORK_BUDGET: each worker draws its chunks' rows of
-    the seeded stream and reduces each chunk's values to norms, one
-    weight row at a time.  Neither chunks nor streams depend on the
-    split, so no value does.  A row whose weights vanish off the
-    constant term gets its exact norm (every H_p norm of a constant is
-    the coefficient norm), with no samples.
+    order.  All estimates share one sample set, and one monomial plan
+    serves every chunk of points.  Under the Kronecker scheme a
+    Dirichlet polynomial is evaluated unlifted at the flow times
+    (omega^alpha(n) = n^{-it}), so no prime position is looked up;
+    otherwise poly is lifted once (`factorize_all`) and the lift is
+    evaluated at torus angles on the k coordinates its support uses,
+    the columns of the full-width torus_angles: Haar measure is a
+    product, so the other coordinates integrate out.  The chunks are
+    split into contiguous shares, one per CPU (`_worker_count`) while
+    the workers' work arrays fit _WORK_BUDGET: each worker draws its
+    chunks' rows of the seeded stream and reduces each chunk's values
+    to norms, one weight row at a time.  Neither chunks nor streams
+    depend on the split, so no value does.  A row whose weights vanish
+    off the constant term (n = 1, or the empty index) gets its exact
+    norm (every H_p norm of a constant is the coefficient norm), with
+    no samples.
     """
     ps = [float(p) for p in ps]
     for p in ps:
         check_p(p)
     keys = poly.indices()
-    lifted = [factorize(n) for n in keys] if isinstance(poly, DirichletPoly) else keys
+    dirichlet = isinstance(poly, DirichletPoly)
     C = coeff_matrix(poly)
-    moving = weights[:, [i for i, alpha in enumerate(lifted) if alpha.pairs]].any(axis=1)
+    moving = weights[:, [i for i, key in enumerate(keys) if key not in (1, EMPTY_INDEX)]].any(axis=1)
     exact = iter(row_norms((weights[~moving][:, :, None] * C).sum(axis=1), poly.space).tolist())
     out = [None if m else [NormEstimate(next(exact), EXACT_PARSEVAL, 0.0, 0, cfg.seed)] * len(ps) for m in moving]
     if not moving.any():
         return out
-    if isinstance(poly, DirichletPoly) and cfg.scheme == KRONECKER_QMC:
+    if dirichlet and cfg.scheme == KRONECKER_QMC:
         target, order = poly, slice(None)
         draw = lambda lo, hi: time_rows(cfg, lo, hi)
     else:
+        lifted = factorize_all(keys) if dirichlet else keys
         active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
         at = {pos: j for j, pos in enumerate(active)}
         term = {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): i for i, alpha in enumerate(lifted)}

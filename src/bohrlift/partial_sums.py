@@ -14,6 +14,7 @@ partial sums S_n D, the mechanism behind the log bound.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,14 +45,21 @@ def abel_identity_check(
 
     Left side: sum_{n=N}^{M} a_n n^{-eps} n^{-s}.  Right side:
     sum_{n=N}^{M-1} (S_n D)(n^{-eps} - (n+1)^{-eps})
-    + (S_M D) M^{-eps} - (S_{N-1} D) N^{-eps},
-    accumulated literally, partial sum by partial sum.  Returns
+    + (S_M D) M^{-eps} - (S_{N-1} D) N^{-eps}, that is sum_n w_n S_n D
+    over n = N-1, ..., M.  The coefficient a_k lies in every S_n D with
+    n >= k, so on the right it carries the tail sum of the weights w_n
+    from n = max(k, N - 1): one cumulative sum serves every k <= M, and
+    the cost is linear in the block.  Returns
     (lhs, rhs, gap) where gap is the largest coefficient-wise norm
     difference relative to the largest coefficient norm of D itself
     (the output scale can vanish when the block misses the support, the
     input scale cannot); exact arithmetic makes the two sides equal, so
     the gap is pure float rounding and must stay at the 1e-12 scale.
     """
+    for name, value in (("N", N), ("M", M)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    N, M = int(N), int(M)
     if not (1 < N < M):
         raise ValueError(f"need 1 < N < M, got N={N}, M={M}")
     if M > D.max_index:
@@ -62,24 +70,10 @@ def abel_identity_check(
     lhs = DirichletPoly(
         {n: v * float(n) ** (-eps) for n, v in D.items() if N <= n <= M}, D.space
     )
-
-    # running S_n D, accumulated against the telescoping weights
-    acc: dict[int, np.ndarray] = {}
-    running: dict[int, np.ndarray] = {k: v for k, v in D.items() if k <= N - 1}
-
-    def add_scaled(poly_map: dict[int, np.ndarray], w: float) -> None:
-        for k, v in poly_map.items():
-            acc[k] = acc[k] + v * w if k in acc else v * w
-
-    add_scaled(running, -float(N) ** (-eps))
-    for n in range(N, M):
-        if n in D:
-            running[n] = D[n]
-        add_scaled(running, float(n) ** (-eps) - float(n + 1) ** (-eps))
-    if M in D:
-        running[M] = D[M]
-    add_scaled(running, float(M) ** (-eps))
-    rhs = DirichletPoly(acc, D.space)
+    damp = np.arange(N, M + 1, dtype=np.float64) ** -eps
+    weights = np.concatenate(([-damp[0]], damp[:-1] - damp[1:], [damp[-1]]))  # on S_{N-1} D, ..., S_M D
+    tails = np.cumsum(weights[::-1])[::-1]
+    rhs = DirichletPoly({k: v * tails[max(k - N + 1, 0)] for k, v in D.items() if k <= M}, D.space)
 
     scale = max((vector_norm(v, D.space) for v in D.coeffs.values()), default=0.0)
     gap = max_coeff_gap(lhs, rhs)

@@ -69,7 +69,7 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     """(samples, m) array of angles; the sample points are exp(1j * angles)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    return coordinate_angles(cfg, range(m))
+    return angle_rows(cfg, range(m), 0, cfg.samples)
 
 
 #: Angles drawn per block when angle_rows discards unused columns:
@@ -78,7 +78,7 @@ _ANGLE_BLOCK = 65_536
 
 
 def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of coordinate_angles(cfg, positions), bit for bit.
+    """Rows [lo, hi) of the columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit.
 
     Kronecker angles are computed at these coordinates alone, from the
     flow times of `time_rows`.  The iid stream runs through every row
@@ -107,11 +107,6 @@ def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
         rng.random(out=drawn)
         np.multiply(drawn[:, positions], 2.0 * math.pi, out=out[a : a + drawn.shape[0]])
     return out
-
-
-def coordinate_angles(cfg: SamplerConfig, positions) -> np.ndarray:
-    """Columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit (see `angle_rows`)."""
-    return angle_rows(cfg, positions, 0, cfg.samples)
 
 
 #: Largest leaf of the pairwise summation tree.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EstimatorInconsistencyError
 from .norms import NormEstimate, norm_h2_exact, norm_hp_rows
-from .primes import factorize
+from .primes import factorize_all
 from .sampling import SamplerConfig
 from .series import DirichletPoly, monomial_at
 from .spaces import vector_norm
@@ -92,13 +92,14 @@ def twist(D: DirichletPoly, theta: TwistPoint) -> DirichletPoly:
     twisting by the conjugate point undoes it.  Since each factor is
     unimodular, all Hardy norms are unchanged.
     """
-    terms = [(n, v, factorize(n)) for n, v in D.items()]
-    width = max((alpha.width for _, _, alpha in terms), default=0)
+    terms = list(D.items())
+    lifted = factorize_all([n for n, _ in terms])
+    width = max((alpha.width for alpha in lifted), default=0)
     if len(theta) < width:
         raise ValueError(
             f"twist point has {len(theta)} angles but the support uses {width} primes"
         )
-    return DirichletPoly({n: v * monomial_at(alpha, theta.angles) for n, v, alpha in terms}, D.space)
+    return DirichletPoly({n: v * monomial_at(alpha, theta.angles) for (n, v), alpha in zip(terms, lifted)}, D.space)
 
 
 def eps_norm_profile(

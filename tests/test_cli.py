@@ -14,6 +14,7 @@ from bohrlift import DirichletPoly, bohr_lift, dumps, loads_dirichlet, loads_pow
 from bohrlift import cli
 from bohrlift.cli import ExperimentSpec, run
 from bohrlift.errors import SieveCapError
+from bohrlift.primes import SIEVE_CAP_ENV
 
 
 def run_spec(sub, out=None, fmt="json", **params):
@@ -118,6 +119,18 @@ def test_norm_at_a_large_p_exits_0_with_a_finite_value():
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["method"] == "torus_mc" and math.isfinite(doc["value"]) and doc["std_error"] > 0.0
+
+
+def test_kronecker_norm_of_a_huge_prime_exits_0(tmp_path, monkeypatch):
+    src = tmp_path / "d.json"
+    src.write_text(dumps(DirichletPoly({1: 1.0, 2**61 - 1: 1.0})))
+    out = tmp_path / "n.json"
+    params = dict(input_path=str(src), p="4", exact=False, grid=8, R=None, t_samples=9, samples=2000, seed=0)
+    assert run_spec("norm", str(out), scheme="kronecker", **params) == 0
+    assert json.loads(out.read_text())["method"] == "torus_mc"
+    # the torus needs the prime's position, past the cap (lowered so the refusal is quick)
+    monkeypatch.setenv(SIEVE_CAP_ENV, str(1 << 16))
+    assert run_spec("norm", None, scheme="iid", **params) == 2
 
 
 def test_missing_input_exits_2():

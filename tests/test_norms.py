@@ -40,6 +40,7 @@ from bohrlift import (
 from bohrlift import norms, series
 from bohrlift.errors import DimensionCapError, NoClosedFormError
 from bohrlift.norms import lattice_value_chunks, mc_estimate
+from bohrlift.primes import sieve_limit
 from bohrlift.sampling import time_rows
 from bohrlift.series import evaluate
 from bohrlift.spaces import row_norms, vector_norm
@@ -343,6 +344,14 @@ def seeded_outputs(cfg):
         log_bound_experiment(lambda N: gallery("zeta_shift", N), 4.0, [4, 16], cfg),
         hilbert_criterion(c0_style_family(8), 4.0, 3, cfg),
     ]
+
+
+def test_kronecker_mc_never_touches_the_factor_table():
+    # 2**61 - 1 is prime, far past the factor table's cap; the flow times need no prime position
+    before = sieve_limit()
+    est = norm_hp_mc(DirichletPoly({1: 1.0, 2**61 - 1: 1.0}), 4.0, SamplerConfig(20000, 0, "kronecker"))
+    assert abs(est.value - 6.0**0.25) <= 4 * est.std_error  # E|1 + z|^4 = 6
+    assert sieve_limit() <= max(before, 2 * series._TRIAL_PRIMES)
 
 
 @pytest.mark.parametrize("scheme", ["iid", "kronecker"])

@@ -67,6 +67,55 @@ def test_abel_validation():
         abel_identity_check(D, 5, 25, 0.0)  # eps must be positive
 
 
+@pytest.mark.parametrize("N, M", [(5.0, 25), (5, 25.5), (True, 25), ("5", 25)])
+def test_abel_refuses_non_integer_block_ends(N, M):
+    D = DirichletPoly({n: 1.0 for n in range(1, 30)})
+    with pytest.raises(TypeError, match="must be an integer"):
+        abel_identity_check(D, N, M, 0.5)
+
+
+def test_abel_accepts_numpy_integers():
+    D = DirichletPoly({n: 1.0 for n in range(1, 30)})
+    assert abel_identity_check(D, np.int64(5), np.int64(25), 0.7) == abel_identity_check(D, 5, 25, 0.7)
+
+
+def test_abel_identity_on_blocks_of_thousands(rng):
+    D = gallery("random_unimodular", 4096, seed=3)
+    assert abel_identity_check(D, 20, 4096, 0.3)[2] < 1e-12
+    V = DirichletPoly({n: rng.standard_normal(3) + 1j * rng.standard_normal(3) for n in range(1, 3001)})
+    assert abel_identity_check(V, 7, 2999, 1.3)[2] < 1e-12
+
+
+def _literal_rhs(D, N, M, eps):
+    """sum_n w_n S_n D over n = N-1, ..., M, added partial sum by partial sum."""
+    weights = {N - 1: -float(N) ** -eps, M: float(M) ** -eps}
+    weights.update({n: float(n) ** -eps - float(n + 1) ** -eps for n in range(N, M)})
+    acc = {}
+    for n, w in weights.items():
+        for k, v in partial_sum(D, n).items():
+            acc[k] = acc.get(k, 0) + v * w
+    return acc
+
+
+def test_abel_rhs_is_the_literal_partial_sum_combination(rng):
+    D = DirichletPoly({n: 1.0 for n in (7, 8, 11, 12, 20, 25, 31, 40)})
+    _, rhs, _ = abel_identity_check(D, 7, 31, 0.6)
+    assert set(rhs.indices()) == {7, 8, 11, 12, 20, 25, 31}
+    for _ in range(50):
+        D = random_dirichlet(rng, max_index=300, max_terms=40, dim=2)
+        if D.max_index < 4:
+            continue
+        M = int(D.max_index) - int(rng.integers(0, 2))
+        N = int(rng.integers(2, M))
+        eps = float(rng.uniform(0.05, 2.0))
+        _, rhs, _ = abel_identity_check(D, N, M, eps)
+        literal = _literal_rhs(D, N, M, eps)
+        # below N the weights telescope to zero, so such a term may cancel out exactly
+        assert {k for k in literal if k >= N} <= set(rhs.indices()) <= set(literal)
+        scale = max(np.linalg.norm(v) for v in D.coeffs.values())
+        assert all(np.linalg.norm(rhs.get(k, 0) - v) <= 1e-14 * scale for k, v in literal.items())
+
+
 def test_projection_check(rng):
     for _ in range(20):
         D = random_dirichlet(rng, max_index=500, max_terms=25, dim=2)

@@ -17,7 +17,7 @@ from bohrlift import (
     pairwise_sum,
     torus_angles,
 )
-from bohrlift.sampling import _ANGLE_BLOCK, KRONECKER_SPAN, angle_rows, coordinate_angles, time_rows
+from bohrlift.sampling import _ANGLE_BLOCK, KRONECKER_SPAN, angle_rows, time_rows
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
 
@@ -106,7 +106,7 @@ def test_iid_angles_keep_the_uniform_stream(m):
     full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(1000, m))
     assert np.array_equal(torus_angles(cfg, m), full)
     for positions in ([m - 1], sorted({0, m // 2, m - 1})):
-        assert np.array_equal(coordinate_angles(cfg, positions), full[:, positions])
+        assert np.array_equal(angle_rows(cfg, positions, 0, cfg.samples), full[:, positions])
 
 
 def test_kronecker_angles_follow_the_flow():
@@ -141,7 +141,7 @@ def test_kronecker_row_ranges_are_rows_of_the_full_draw():
     cfg = SamplerConfig(1000, 11, KRONECKER_QMC)
     t = np.random.default_rng(11).uniform(0.0, KRONECKER_SPAN, 1000)
     positions = [0, 3, 7]
-    full = coordinate_angles(cfg, positions)
+    full = angle_rows(cfg, positions, 0, cfg.samples)
     assert np.array_equal(time_rows(cfg, 0, 1000), t)
     for lo, hi in ((0, 1), (333, 777), (999, 1000)):
         assert np.array_equal(time_rows(cfg, lo, hi), t[lo:hi])
