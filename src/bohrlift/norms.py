@@ -62,8 +62,9 @@ class NormEstimate:
 
     ``std_error`` is zero exactly when the method is deterministic
     (exact formula, lattice scan, or line quadrature).  ``R`` records
-    the vertical-line half-length of the line estimators; the
-    serialized form carries it only when it is set.
+    the vertical-line half-length of the line estimators, and
+    ``scheme`` the torus sampling scheme of the Monte Carlo ones; the
+    serialized form carries each only when it is set.
     """
 
     value: float
@@ -72,6 +73,7 @@ class NormEstimate:
     samples: int = 0
     seed: int = 0
     R: float | None = None
+    scheme: str | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -83,6 +85,8 @@ class NormEstimate:
         }
         if self.R is not None:
             out["R"] = self.R
+        if self.scheme is not None:
+            out["scheme"] = self.scheme
         return out
 
 
@@ -143,7 +147,7 @@ def mc_estimate(x: np.ndarray, p: float, cfg: SamplerConfig) -> NormEstimate:
         std_error = value * math.sqrt(relvar / cfg.samples) / p
     else:
         std_error = 0.0
-    return NormEstimate(m * value, TORUS_MC, m * std_error, cfg.samples, cfg.seed)
+    return NormEstimate(m * value, TORUS_MC, m * std_error, cfg.samples, cfg.seed, scheme=cfg.scheme)
 
 
 def _worker_count() -> int:

@@ -76,6 +76,10 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
 #: 2**16 doubles, 512 KiB, small enough to stay cache-resident.
 _ANGLE_BLOCK = 65_536
 
+#: Runs of unused iid columns at least this long are skipped with
+#: PCG64.advance, which costs about as much as drawing 300 doubles.
+_SKIP = 4_096
+
 
 def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of the columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit.
@@ -86,7 +90,10 @@ def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
     (samples, m) array, so that a seed keeps its stream whichever
     columns are kept; row lo starts lo * m doubles into it.  When some
     columns are dropped it is drawn a block of rows at a time into one
-    reused buffer.
+    reused buffer, unless some run of unused columns (the leading one
+    included, which joins a row to the next) reaches _SKIP: then each
+    row draws only its spans of columns between such runs and advances
+    the generator over the runs.
     """
     positions = list(positions)
     if cfg.scheme == KRONECKER_QMC:
@@ -98,6 +105,23 @@ def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
     # uniform(0, 2 pi) is 2 pi times random(), bit for bit
     if len(positions) == m:  # every column kept
         rng.random(out=out)
+        out *= 2.0 * math.pi
+        return out
+    cuts = [j for j in range(1, len(positions)) if positions[j] - positions[j - 1] > _SKIP]
+    if cuts or positions[0] >= _SKIP:
+        spans = []  # stream offsets [a, b) within a row drawn whole, the out columns they fill, and their picks
+        for i, j in zip([0] + cuts, cuts + [len(positions)]):
+            a = positions[i] if i or positions[0] >= _SKIP else 0
+            spans.append((a, positions[j - 1] + 1, slice(i, j), np.array(positions[i:j]) - a))
+        buf = np.empty(max(b - a for a, b, _, _ in spans))
+        for r in range(hi - lo):
+            end = 0  # stream offset within the row
+            for a, b, cols, picks in spans:
+                if a > end:
+                    rng.bit_generator.advance(a - end)
+                rng.random(out=buf[: b - a])
+                out[r, cols] = buf[picks]
+                end = b
         out *= 2.0 * math.pi
         return out
     rows = max(1, _ANGLE_BLOCK // m)

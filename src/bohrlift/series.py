@@ -260,6 +260,27 @@ def coeff_matrix(poly) -> np.ndarray:
     return np.array([poly[k] for k in keys], dtype=np.complex128)
 
 
+def _unit(phase: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """out = exp(i phase) from t = tan(phase / 2): cos = 2/(1 + t^2) - 1 and sin = 2t/(1 + t^2).
+
+    phase and tmp are float arrays of out's shape; phase is overwritten
+    (with t) and tmp is work space.  One vectorized tan and six
+    arithmetic passes cost about a seventh of a cos and a sin, which
+    numpy 2.4 runs as scalar loops on x86-64.  On phases up to
+    1.5e7 each part stays within 3.4e-16 of np.cos and np.sin, and |out|
+    within 4.5e-16 of 1.  tan is odd bit for bit (numpy 2.4, x86-64, with
+    and without AVX-512), so negated phases give conjugate values, and
+    a zero phase gives exactly 1.
+    """
+    np.multiply(phase, 0.5, out=phase)
+    np.tan(phase, out=phase)
+    np.multiply(phase, phase, out=tmp)
+    tmp += 1.0
+    np.divide(2.0, tmp, out=tmp)
+    np.multiply(phase, tmp, out=out.imag)
+    np.subtract(tmp, 1.0, out=out.real)
+
+
 def monomial_map(poly):
     """Multiplicative plan for poly's monomials: (points per chunk, work entries, map from points to monomials).
 
@@ -270,7 +291,7 @@ def monomial_map(poly):
     prefix, the term without its last factor power, is a term too is
     that prefix times the power when the power's value serves more than
     once; any other term is a base value of its own.  A chunk of points
-    costs one cos and one sin per base value, never more than one per
+    costs one tan per base value (`_unit`), never more than one per
     term, and one complex multiply per term, whatever the degrees.  The
     map returns the (S, terms) matrix of monomials, columns in
     coeff_matrix(poly) order, in a work buffer that its next call
@@ -324,22 +345,20 @@ def monomial_map(poly):
     widest = max((hi - lo for lo, hi, _, _ in levels), default=0)
     rows, terms, k = len(order), len(columns), len(bases)
     chunk = max(1, _CHUNK_ENTRIES // rows)
-    # entries per point of each work array: phases, M, base, parents, factors, picked and E
-    sizes = (k, rows, k, widest, widest, terms, terms)
+    # entries per point of each work array: phases, tan work (both float), M, base, parents, factors, picked and E
+    sizes = (k, k, rows, k, widest, widest, terms, terms)
 
     def monomials(points: np.ndarray, work: list) -> np.ndarray:
         S = points.shape[0]
         if not work:  # chunk-sized arrays; fewer points use the front of each
-            work.append(np.empty(k * chunk))
-            work.extend(np.empty(n * chunk, dtype=np.complex128) for n in sizes[1:])
-        phase, M, base, parents, factors, picked, E = (w[: n * S].reshape(n, S) for w, n in zip(work, sizes))
+            work.extend(np.empty(n * chunk) for n in sizes[:2])
+            work.extend(np.empty(n * chunk, dtype=np.complex128) for n in sizes[2:])
+        phase, tmp, M, base, parents, factors, picked, E = (w[: n * S].reshape(n, S) for w, n in zip(work, sizes))
         E = E.reshape(S, terms)
         phases(points, phase)
-        # cos and sin, not a complex exp: on x86 the complex exp loop runs
-        # tenfold slower after a BLAS call that leaves the upper halves of
-        # the vector registers dirty, and the real cos and sin loops do not
-        np.cos(phase, out=base.real)
-        np.sin(phase, out=base.imag)
+        # not a complex exp: on x86 its loop runs tenfold slower after a BLAS
+        # call that leaves the upper halves of the vector registers dirty
+        _unit(phase, tmp, base)
         M[0] = 1.0
         # mode="clip" lets take write straight into out; the rows are valid by construction
         for lo, hi, ups, cols in levels:
@@ -417,17 +436,18 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
     rows = max(1, min(Q, _CHUNK_ENTRIES // (width * dim)))
     W = np.empty((S, width), dtype=np.complex128)
     U = np.empty((Q, width), dtype=np.complex128)
-    # U[q] is the conjugate of U[-q]: cos is even and sin odd, bit for bit as measured on numpy 2.4
-    # (x86-64, AVX-512), and so is qSh log n, so only the rows q >= 0 and an unpaired q_lo are computed
+    # U[q] is the conjugate of U[-q]: tan is odd bit for bit (see `_unit`), and so is qSh log n,
+    # so only the rows q >= 0 and an unpaired q_lo are computed
     mirror = min(-q_lo, q_hi)
     unpaired = -mirror - q_lo
+    phase, tmp = np.empty((2, S, width))  # no computed table has more than S rows: q_hi < S
     for lo in range(0, len(neg_logs), width):
         logs = neg_logs[lo : lo + width]
         w = len(logs)
         for table, times in ((W[:, :w], j_times), (U[:unpaired, :w], q_times[:unpaired]), (U[-q_lo:, :w], q_times[-q_lo:])):
-            np.multiply.outer(times, logs, out=table.imag)
-            np.cos(table.imag, out=table.real)
-            np.sin(table.imag, out=table.imag)
+            ph = phase[: len(times), :w]
+            np.multiply.outer(times, logs, out=ph)
+            _unit(ph, tmp[: len(times), :w], table)
         np.conjugate(U[mirror - q_lo : -q_lo : -1, :w], out=U[unpaired:-q_lo, :w])
         for qa in range(0, Q, rows):
             qb = min(Q, qa + rows)

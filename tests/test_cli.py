@@ -121,6 +121,19 @@ def test_norm_at_a_large_p_exits_0_with_a_finite_value():
     assert doc["method"] == "torus_mc" and math.isfinite(doc["value"]) and doc["std_error"] > 0.0
 
 
+def test_norm_reports_its_sampling_scheme():
+    argv = ["norm", "--gallery", "zeta_shift", "--size", "20", "--p", "4", "--samples", "500"]
+    docs = {}
+    for scheme in ("kronecker", "iid"):
+        result = CliRunner().invoke(cli.main, argv + ["--scheme", scheme])
+        assert result.exit_code == 0, result.output
+        docs[scheme] = json.loads(result.output)
+    assert docs["kronecker"]["scheme"] == "kronecker" and docs["iid"]["scheme"] == "iid"
+    assert {k: v for k, v in docs["kronecker"].items() if k not in ("value", "std_error", "scheme")} == {
+        k: v for k, v in docs["iid"].items() if k not in ("value", "std_error", "scheme")
+    }
+
+
 def test_kronecker_norm_of_a_huge_prime_exits_0(tmp_path, monkeypatch):
     src = tmp_path / "d.json"
     src.write_text(dumps(DirichletPoly({1: 1.0, 2**61 - 1: 1.0})))

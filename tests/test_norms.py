@@ -253,9 +253,11 @@ def test_line_estimates_record_their_half_length():
         "value": 2.0, "method": "vertical_sup", "std_error": 0.0, "samples": 101, "seed": 0, "R": 10.0,
     }
     assert vertical_mean(TWO_TERM, 2.0, 50.0, 101).to_dict()["R"] == 50.0
-    # estimates without a line keep their five keys
-    for est in (norm_hinf_grid(TWO_TERM, 8), norm_hp_mc(TWO_TERM, 4.0, SamplerConfig(100, 0))):
-        assert set(est.to_dict()) == {"value", "method", "std_error", "samples", "seed"}
+    # estimates without a line keep their five keys, and a Monte Carlo one adds its scheme
+    assert set(norm_hinf_grid(TWO_TERM, 8).to_dict()) == {"value", "method", "std_error", "samples", "seed"}
+    for scheme in ("iid", "kronecker"):
+        mc = norm_hp_mc(TWO_TERM, 4.0, SamplerConfig(100, 0, scheme)).to_dict()
+        assert set(mc) == {"value", "method", "std_error", "samples", "seed", "scheme"} and mc["scheme"] == scheme
 
 
 def test_p_limit_monotone_on_shared_sample():

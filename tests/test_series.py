@@ -383,7 +383,7 @@ def test_line_grid_on_vector_coefficients():
 
 
 def grid_values_with_direct_tables(D, h, T):
-    """_line_grid_values with every row of both tables from its own cos and sin, in the same blocks."""
+    """_line_grid_values with every row of both tables from its own `_unit` call, in the same blocks."""
     c, S = (T - 1) // 2, math.isqrt(T - 1) + 1
     q_lo, q_hi = -c // S, (T - 1 - c) // S
     Q, dim = q_hi - q_lo + 1, D.space.dim
@@ -398,9 +398,8 @@ def grid_values_with_direct_tables(D, h, T):
         logs = neg_logs[lo : lo + width]
         w = len(logs)
         for table, times in ((W[:, :w], (np.arange(S) - 0.5 * (1 - T % 2)) * h), (U[:, :w], np.arange(q_lo, q_hi + 1) * S * h)):
-            np.multiply.outer(times, logs, out=table.imag)
-            np.cos(table.imag, out=table.real)
-            np.sin(table.imag, out=table.imag)
+            phase = np.multiply.outer(times, logs)
+            series._unit(phase, np.empty_like(phase), table)
         for qa in range(0, Q, rows):
             qb = min(Q, qa + rows)
             UC = U[qa:qb, :w].T[:, :, None] * C[lo : lo + w, None, :]
@@ -416,6 +415,25 @@ def test_line_grid_mirrored_table_is_the_direct_one_bit_for_bit(T):
     for D in (gallery("zeta_shift", 300), gallery("c0", 40)):
         for h in (0.01, 1.0, 50.0):
             assert series._line_grid_values(D, h, T).tobytes() == grid_values_with_direct_tables(D, h, T).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 60.0), (-1.5e7, 1.5e7)])
+def test_unit_values_from_half_angle_tan(lo, hi):
+    # torus base phases reach several times 2 pi; Kronecker phases reach 2^20 log n
+    phase = np.random.default_rng(21).uniform(lo, hi, size=200_000)
+    phase[:3] = 0.0, lo, hi
+    out = np.empty(phase.shape, dtype=np.complex128)
+    series._unit(phase.copy(), np.empty_like(phase), out)
+    assert np.max(np.abs(out.real - np.cos(phase))) <= 4.5e-16
+    assert np.max(np.abs(out.imag - np.sin(phase))) <= 4.5e-16
+    assert np.max(np.abs(np.abs(out) - 1.0)) <= 4.5e-16
+    assert out[0] == 1.0
+
+
+def test_tan_is_odd_bit_for_bit():
+    # a platform property, like the mirror above: negated phases give conjugate unit values
+    x = np.concatenate([np.random.default_rng(22).uniform(0.0, 60.0, 100_000), np.random.default_rng(23).uniform(0.0, 7.5e6, 100_000)])
+    assert np.tan(-x).tobytes() == (-np.tan(x)).tobytes()
 
 
 def test_line_grid_keeps_indices_with_huge_prime_factors():
@@ -436,7 +454,7 @@ def test_line_grid_centre_node_is_the_coefficient_sum():
 
 def test_line_grid_scan_memory():
     # the multiplicative kernel's work matrices peak at 5.4 MiB here; the two
-    # tables, one block of U * C and the output stay near 2.5 MiB
+    # tables, their float work arrays, one block of U * C and the output stay near 3 MiB
     D = gallery("zeta_shift", 4096)
     tracemalloc.start()
     try:

@@ -17,7 +17,7 @@ from bohrlift import (
     pairwise_sum,
     torus_angles,
 )
-from bohrlift.sampling import _ANGLE_BLOCK, KRONECKER_SPAN, angle_rows, time_rows
+from bohrlift.sampling import _ANGLE_BLOCK, _SKIP, KRONECKER_SPAN, angle_rows, time_rows
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
 
@@ -135,6 +135,24 @@ def test_iid_row_ranges_are_rows_of_the_full_draw(m):
         for lo, hi in ranges:
             lo, hi = min(lo, 999), min(hi, 1000)
             assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi, positions])
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        [0, 20_000],  # one long run inside a row
+        [20_000],  # one long leading run, which joins each row to the next
+        [3, 10, 4_106, 4_107, 9_000, 13_097, 13_200],  # runs of _SKIP - 1, more, exactly _SKIP, and short ones
+        [_SKIP, 2 * _SKIP + 1, 2 * _SKIP + 5],  # runs of exactly _SKIP
+    ],
+)
+def test_iid_rows_skip_long_unused_runs_bit_for_bit(positions):
+    # PCG64.advance over a run of unused columns lands where drawing it would
+    cfg = SamplerConfig(40, 8)
+    m = positions[-1] + 1
+    full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(40, m))
+    for lo, hi in ((0, 40), (0, 1), (1, 2), (17, 39), (39, 40)):
+        assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi, positions])
 
 
 def test_kronecker_row_ranges_are_rows_of_the_full_draw():
