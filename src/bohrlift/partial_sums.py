@@ -22,8 +22,8 @@ import numpy as np
 
 from .norms import norm_h2_exact, norm_hp_rows, vertical_sup
 from .sampling import SamplerConfig
-from .series import DirichletPoly, max_coeff_gap, partial_sum
-from .spaces import vector_norm
+from .series import DirichletPoly, coeff_matrix, max_coeff_gap, partial_sum
+from .spaces import row_norms
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def abel_identity_check(
     tails = np.cumsum(weights[::-1])[::-1]
     rhs = DirichletPoly({k: v * tails[max(k - N + 1, 0)] for k, v in D.items() if k <= M}, D.space)
 
-    scale = max((vector_norm(v, D.space) for v in D.coeffs.values()), default=0.0)
+    scale = float(row_norms(coeff_matrix(D), D.space).max(initial=0.0))
     gap = max_coeff_gap(lhs, rhs)
     return lhs, rhs, gap / scale if scale > 0 else gap
 

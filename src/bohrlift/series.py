@@ -24,7 +24,7 @@ import numpy as np
 
 from .multiindex import EMPTY_INDEX, MultiIndex
 from .primes import MAX_INDEX, factorize_all, index_of, primes_up_to, trial_factors
-from .spaces import CoeffSpace, SCALAR, as_coeff_array, vector_norm
+from .spaces import CoeffSpace, SCALAR, as_coeff_array, row_norms
 
 
 def _infer_space(values) -> CoeffSpace:
@@ -229,15 +229,19 @@ def partial_sum(D: DirichletPoly, N: int) -> DirichletPoly:
 
 
 def max_coeff_gap(A, B) -> float:
-    """Largest coefficient-wise norm distance between two polynomials of one type."""
+    """Largest coefficient-wise norm distance between two polynomials of one type.
+
+    A key stored on one side only is compared with zero, and two zero
+    polynomials are 0.0 apart.
+    """
     _check_space(A, B)
+    keys = A._coeffs.keys() | B._coeffs.keys()
+    if not keys:
+        return 0.0
     zero = np.zeros(A.space.dim, dtype=np.complex128)
-    gap = 0.0
-    for key in set(A.coeffs) | set(B.coeffs):
-        a = A.get(key, zero)
-        b = B.get(key, zero)
-        gap = max(gap, vector_norm(a - b, A.space))
-    return gap
+    a = np.array([A.get(key, zero) for key in keys])
+    b = np.array([B.get(key, zero) for key in keys])
+    return float(row_norms(a - b, A.space).max())
 
 
 # -- dense views used by the estimators ---------------------------------------

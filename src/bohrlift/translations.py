@@ -22,8 +22,8 @@ from .errors import EstimatorInconsistencyError
 from .norms import NormEstimate, norm_h2_exact, norm_hp_rows
 from .primes import factorize_all
 from .sampling import SamplerConfig
-from .series import DirichletPoly, monomial_at
-from .spaces import vector_norm
+from .series import DirichletPoly, coeff_matrix, monomial_at
+from .spaces import row_norms
 
 #: Default geometric grid 1, 1/2, ..., 2^-20 for the epsilon profile.
 DEFAULT_EPS_GRID = tuple(2.0**-k for k in range(21))
@@ -155,10 +155,9 @@ def hplus_norm(D: DirichletPoly, p: float, cfg: SamplerConfig | None = None) -> 
     """
     eps = EPS_CROSS_CHECK
     ns = np.array(D.indices(), dtype=np.float64)
-    base, probe = norm_hp_rows(D, p, np.stack([np.ones_like(ns), ns ** (-eps)]), cfg)
-    lipschitz = math.fsum(
-        vector_norm(v, D.space) * (1.0 - float(n) ** (-eps)) for n, v in D.items()
-    )
+    damp = ns ** (-eps)
+    base, probe = norm_hp_rows(D, p, np.stack([np.ones_like(ns), damp]), cfg)
+    lipschitz = math.fsum(row_norms(coeff_matrix(D), D.space) * (1.0 - damp))
     tol = lipschitz + 1e-9
     if abs(probe.value - base.value) > tol:
         raise EstimatorInconsistencyError(

@@ -30,6 +30,7 @@ from bohrlift import (
 )
 from bohrlift import series
 from bohrlift.primes import sieve_limit
+from bohrlift.spaces import vector_norm
 from conftest import random_dirichlet
 
 
@@ -190,6 +191,32 @@ def test_max_coeff_gap():
     B = DirichletPoly({1: 1.0, 2: 1.0 + 3e-9j})
     assert max_coeff_gap(A, A) == 0.0
     assert max_coeff_gap(A, B) == pytest.approx(3e-9)
+
+
+@pytest.mark.parametrize(
+    "space", [CoeffSpace(1), CoeffSpace(3, "l1"), CoeffSpace(3, "l2"), CoeffSpace(3, "linf")]
+)
+def test_max_coeff_gap_is_the_per_key_loop(space):
+    rng = np.random.default_rng(space.dim)
+
+    def poly(cls, keys):
+        return cls({k: rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim) for k in keys}, space)
+
+    def per_key(A, B):
+        zero = np.zeros(space.dim, dtype=np.complex128)
+        keys = set(A.coeffs) | set(B.coeffs)
+        return max((vector_norm(A.get(k, zero) - B.get(k, zero), space) for k in keys), default=0.0)
+
+    A, B, C = (poly(DirichletPoly, keys) for keys in ([1, 2, 3, 5], [3, 5, 7, 11], [13, 17]))
+    empty = DirichletPoly({}, space)
+    P, Q = (poly(PowerPoly, [(), (1,), (0, 2)]), poly(PowerPoly, [(1,), (3,)]))
+    cases = [(A, B), (A, C), (A, empty), (empty, B), (A, A), (P, Q), (P, PowerPoly({}, space))]
+    for X, Y in cases:
+        assert max_coeff_gap(X, Y) == per_key(X, Y)
+    assert max_coeff_gap(A, C) > 0.0 and max_coeff_gap(A, A) == 0.0
+    assert max_coeff_gap(empty, empty) == 0.0
+    with pytest.raises(ValueError):  # the space is checked before any key
+        max_coeff_gap(empty, DirichletPoly({}, CoeffSpace(space.dim + 1)))
 
 
 def test_power_eval_matches_direct():

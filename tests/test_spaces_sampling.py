@@ -48,6 +48,75 @@ def test_row_norms():
     assert row_norms(rows, CoeffSpace(2, "linf")).tolist() == [4.0, 1.0]
 
 
+def _random_rows(rng, S, dim):
+    # entries of mixed magnitude, so a row sums terms of many sizes
+    scale = np.exp(rng.uniform(-20.0, 20.0, (S, 1)))
+    return (rng.standard_normal((S, dim)) + 1j * rng.standard_normal((S, dim))) * scale
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_scalar_row_norms_are_abs_bit_for_bit(norm):
+    mags = np.logspace(-150, 150, 601)
+    phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, mags.size)
+    rows = (mags * np.exp(1j * phases)).reshape(-1, 1)
+    a = np.abs(rows[:, 0])
+    assert np.array_equal(row_norms(rows, CoeffSpace(1, norm)), a)
+    assert np.array_equal(np.sqrt(a * a), a)  # and so does sqrt(|v|^2) in this range
+
+
+def test_scalar_row_norm_past_the_square_overflow():
+    rows = np.array([[1e200 + 0j], [-3e250j]])
+    assert row_norms(rows, CoeffSpace(1, "l2")).tolist() == [1e200, 3e250]
+    assert vector_norm(as_coeff_array(1e200), CoeffSpace(1)) == 1e200
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 256])
+def test_row_norms_match_a_correctly_summed_reference(dim):
+    rows = _random_rows(np.random.default_rng(dim), 300, dim)
+    l2 = row_norms(rows, CoeffSpace(dim, "l2"))
+    l1 = row_norms(rows, CoeffSpace(dim, "l1"))
+    # a row of dim 256 sums 512 floats, so its rounding builds up past the
+    # bound of rows of at most 16 floats
+    tol = 4.5e-16 if dim <= 8 else 1e-15
+    for row, a, b in zip(rows, l2, l1):
+        ref2 = math.hypot(*row.view(np.float64))
+        ref1 = math.fsum(abs(z) for z in row)
+        assert abs(a - ref2) <= tol * ref2
+        assert abs(b - ref1) <= tol * ref1
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 256])
+def test_row_norms_ignore_offset_and_neighbours(norm, dim):
+    # the Monte Carlo driver's bit-identity at any worker count rests on this
+    space = CoeffSpace(dim, norm)
+    rows = _random_rows(np.random.default_rng(11 * dim), 67, dim)
+    want = row_norms(rows, space)
+    for offset in range(0, 64, 8):
+        buf = np.zeros(rows.nbytes + 64, dtype=np.uint8)
+        placed = np.ndarray(rows.shape, dtype=np.complex128, buffer=buf, offset=offset)
+        placed[...] = rows
+        assert np.array_equal(row_norms(placed, space), want)
+    for lo, hi in ((0, 1), (5, 6), (3, 40), (40, 67)):
+        assert np.array_equal(row_norms(rows[lo:hi], space), want[lo:hi])
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim", [2, 3, 8, 256])
+def test_row_norms_of_non_contiguous_inputs(norm, dim):
+    space = CoeffSpace(dim, norm)
+    big = _random_rows(np.random.default_rng(7 * dim), 50, 2 * dim + 1)
+    views = [
+        big[:, 1 : dim + 1],  # column slice
+        big[:, ::2][:, :dim],  # strided columns
+        np.ascontiguousarray(big[:, :dim].T).T,  # a transposed copy
+        big[::-1, :dim],  # negative row stride
+        big[:, dim - 1 :: -1],  # negative column stride
+    ]
+    for view in views:
+        assert np.array_equal(row_norms(view, space), row_norms(np.ascontiguousarray(view), space))
+
+
 def test_coeff_arrays_immutable():
     v = as_coeff_array(1.0 + 2.0j)
     with pytest.raises((ValueError, RuntimeError)):
