@@ -31,10 +31,9 @@ from .primes import factorize_all
 from .sampling import (
     KRONECKER_QMC,
     SamplerConfig,
-    angle_rows,
     pairwise_mean,
     pairwise_sum,
-    time_rows,
+    point_blocks,
 )
 from .series import (
     _CHUNK_ENTRIES,
@@ -190,16 +189,18 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     (omega^alpha(n) = n^{-it}), so no prime position is looked up;
     otherwise poly is lifted once (`factorize_all`) and the lift is
     evaluated at torus angles on the k coordinates its support uses,
-    the columns of the full-width torus_angles: Haar measure is a
-    product, so the other coordinates integrate out.  The chunks are
+    each from its own stream (`sampling.point_blocks`): Haar measure is
+    a product, so the other coordinates integrate out.  The chunks are
     split into contiguous shares, one per CPU (`_worker_count`) while
-    the workers' work arrays fit _WORK_BUDGET: each worker draws its
-    chunks' rows of the seeded stream and reduces each chunk's values
-    to norms, one weight row at a time.  Neither chunks nor streams
-    depend on the split, so no value does.  A row whose weights vanish
-    off the constant term (n = 1, or the empty index) gets its exact
-    norm (every H_p norm of a constant is the coefficient norm), with
-    no samples.
+    the workers' work arrays fit _WORK_BUDGET.  Each worker starts its
+    streams once, at the first row of its share, draws them in blocks
+    of about _CHUNK_ENTRIES doubles into a coordinate-major (k, rows)
+    array, which the kernel reads chunk by chunk in place, and reduces
+    each chunk's values to norms, one weight row at a time.  Neither
+    chunks nor streams depend on the split, so no value does.  A row
+    whose weights vanish off the constant term (n = 1, or the empty
+    index) gets its exact norm (every H_p norm of a constant is the
+    coefficient norm), with no samples.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -213,8 +214,7 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     if not moving.any():
         return out
     if dirichlet and cfg.scheme == KRONECKER_QMC:
-        target, order = poly, slice(None)
-        draw = lambda lo, hi: time_rows(cfg, lo, hi)
+        target, order, active = poly, slice(None), None
     else:
         lifted = factorize_all(keys) if dirichlet else keys
         active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
@@ -222,16 +222,21 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
         term = {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): i for i, alpha in enumerate(lifted)}
         target = PowerPoly._moved({key: poly[keys[i]] for key, i in term.items()}, poly.space)
         order = [term[key] for key in target.indices()]
-        draw = lambda lo, hi: angle_rows(cfg, active, lo, hi)
     stack = weights[moving][:, order, None] * C[order]  # (rows, terms, dim), in target's term order
     S = cfg.samples
     chunk, work_entries, monomials = series.monomial_map(target)
+    k = 1 if active is None else len(active)  # streams drawn; the flow times are one
+    step = chunk * max(1, _CHUNK_ENTRIES // (chunk * k))  # rows per draw: whole chunks, about _CHUNK_ENTRIES doubles
     x = np.empty((len(stack), S))
 
     def share(starts):
+        first = starts[0]
+        blocks = point_blocks(cfg, active, first, min(starts[-1] + chunk, S), step)
         work, values = [], np.empty((min(chunk, S), poly.space.dim), dtype=np.complex128)
         for lo in starts:
-            E = monomials(draw(lo, min(lo + chunk, S)), work)
+            if (lo - first) % step == 0:
+                block, head = next(blocks), lo
+            E = monomials(block[..., lo - head : lo - head + chunk].T, work)
             v = values[: E.shape[0]]
             for row, c in zip(x, stack):
                 np.matmul(E, c, out=v)

@@ -14,13 +14,12 @@ partial sums S_n D, the mechanism behind the log bound.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .norms import norm_h2_exact, norm_hp_rows, vertical_sup
+from .norms import check_count, norm_h2_exact, norm_hp_rows, vertical_sup
 from .sampling import SamplerConfig
 from .series import DirichletPoly, coeff_matrix, max_coeff_gap, partial_sum
 from .spaces import row_norms
@@ -56,12 +55,8 @@ def abel_identity_check(
     input scale cannot); exact arithmetic makes the two sides equal, so
     the gap is pure float rounding and must stay at the 1e-12 scale.
     """
-    for name, value in (("N", N), ("M", M)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    N, M = int(N), int(M)
-    if not (1 < N < M):
-        raise ValueError(f"need 1 < N < M, got N={N}, M={M}")
+    N = check_count(N, "N", 2)
+    M = check_count(M, "M", N + 1)
     if M > D.max_index:
         raise ValueError(f"M={M} exceeds the largest stored index {D.max_index}")
     if not (eps > 0 and math.isfinite(eps)):

@@ -8,10 +8,12 @@ Two sampling schemes target the same Haar average over T^m:
   equidistributes because the log-primes are rationally independent, so
   both schemes estimate the same integral.
 
-All randomness is the stream of ``numpy.random.default_rng(seed)``, drawn
-by row ranges that start a ``PCG64`` at their first double, and all
-means are reduced over a fixed pairwise tree on the sample index, so a
-given (samples, seed, scheme) triple reproduces bit-for-bit no matter
+Each iid coordinate j has a stream of its own, ``default_rng([seed, j])``,
+and the Kronecker flow times are the stream of ``default_rng(seed)``.  An
+estimate draws only the coordinates its polynomial uses, each stream
+started once per row range at its first double (``PCG64.advance``), and
+all means are reduced over a fixed pairwise tree on the sample index, so
+a given (samples, seed, scheme) triple reproduces bit-for-bit no matter
 how the work is split or scheduled.
 """
 
@@ -55,7 +57,7 @@ class SamplerConfig:
         return SamplerConfig(self.samples, seed, self.scheme)
 
 
-def _stream(seed: int, skip: int) -> np.random.Generator:
+def _stream(seed, skip: int) -> np.random.Generator:
     """default_rng(seed) past its first `skip` doubles: random() takes one 64-bit output per double."""
     return np.random.Generator(np.random.PCG64(seed).advance(skip))
 
@@ -66,71 +68,54 @@ def time_rows(cfg: SamplerConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
-    """(samples, m) array of angles; the sample points are exp(1j * angles)."""
+    """(samples, m) array of angles, column j from coordinate j's own iid stream; the sample points are exp(1j * angles)."""
     if m < 0:
         raise ValueError("m must be non-negative")
     return angle_rows(cfg, range(m), 0, cfg.samples)
 
 
-#: Angles drawn per block when angle_rows discards unused columns:
-#: 2**16 doubles, 512 KiB, small enough to stay cache-resident.
-_ANGLE_BLOCK = 65_536
+def point_blocks(cfg: SamplerConfig, positions, lo: int, hi: int, step: int):
+    """Rows [lo, hi) of the sample points, `step` rows at a time; a block holds only until the next is drawn.
 
-#: Runs of unused iid columns at least this long are skipped with
-#: PCG64.advance, which costs about as much as drawing 300 doubles.
-_SKIP = 4_096
+    With positions None the points are the Kronecker flow times of
+    `time_rows`, blocks of shape (rows,).  Otherwise they are the angles
+    at the coordinates `positions`, coordinate-major blocks of shape (k,
+    rows).  Kronecker angles are -t log p_j mod 2 pi at these
+    coordinates alone.  The iid angle j of sample i is 2 pi times double
+    i of default_rng([seed, j]), one stream per coordinate, so a
+    coordinate's angles do not depend on which others are drawn, and
+    default_rng([seed, 0]) is default_rng(seed).  Each stream is started
+    once, at row lo, by PCG64.advance; the flow times, drawn a block
+    at a time, are cheap to restart.
+    """
+    if positions is not None and cfg.scheme != KRONECKER_QMC:
+        streams = [_stream([cfg.seed, j], lo) for j in positions]
+        buf = np.empty((len(streams), min(step, hi - lo)))
+    elif positions is not None:
+        neg_logs = -np.array([[math.log(nth_prime(j))] for j in positions])
+    for a in range(lo, hi, step):
+        if positions is None:
+            yield time_rows(cfg, a, min(a + step, hi))
+        elif cfg.scheme == KRONECKER_QMC:
+            yield np.mod(neg_logs * time_rows(cfg, a, min(a + step, hi)), 2.0 * math.pi)
+        else:
+            block = buf[:, : min(step, hi - a)]
+            for stream, row in zip(streams, block):
+                stream.random(out=row)
+            block *= 2.0 * math.pi  # uniform(0, 2 pi) is 2 pi times random(), bit for bit
+            yield block
 
 
 def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the columns `positions` (increasing) of torus_angles(cfg, positions[-1] + 1), bit for bit.
+    """Rows [lo, hi) of the angles at the coordinates `positions`, shape (hi - lo, k); see `point_blocks`.
 
-    Kronecker angles are computed at these coordinates alone, from the
-    flow times of `time_rows`.  The iid stream runs through every row
-    of m = positions[-1] + 1 angles, the uniform(0, 2 pi) draw of a
-    (samples, m) array, so that a seed keeps its stream whichever
-    columns are kept; row lo starts lo * m doubles into it.  When some
-    columns are dropped it is drawn a block of rows at a time into one
-    reused buffer, unless some run of unused columns (the leading one
-    included, which joins a row to the next) reaches _SKIP: then each
-    row draws only its spans of columns between such runs and advances
-    the generator over the runs.
+    Under the iid scheme column j holds rows [lo, hi) of the stream of
+    coordinate positions[j] alone, whatever the other positions.  The
+    array is the transpose of one coordinate-major block, so each
+    coordinate's angles are contiguous.
     """
     positions = list(positions)
-    if cfg.scheme == KRONECKER_QMC:
-        logs = np.array([math.log(nth_prime(j)) for j in positions])
-        return np.mod(-np.outer(time_rows(cfg, lo, hi), logs), 2.0 * math.pi)
-    m = positions[-1] + 1 if positions else 0
-    rng = _stream(cfg.seed, lo * m)
-    out = np.empty((hi - lo, len(positions)))
-    # uniform(0, 2 pi) is 2 pi times random(), bit for bit
-    if len(positions) == m:  # every column kept
-        rng.random(out=out)
-        out *= 2.0 * math.pi
-        return out
-    cuts = [j for j in range(1, len(positions)) if positions[j] - positions[j - 1] > _SKIP]
-    if cuts or positions[0] >= _SKIP:
-        spans = []  # stream offsets [a, b) within a row drawn whole, the out columns they fill, and their picks
-        for i, j in zip([0] + cuts, cuts + [len(positions)]):
-            a = positions[i] if i or positions[0] >= _SKIP else 0
-            spans.append((a, positions[j - 1] + 1, slice(i, j), np.array(positions[i:j]) - a))
-        buf = np.empty(max(b - a for a, b, _, _ in spans))
-        for r in range(hi - lo):
-            end = 0  # stream offset within the row
-            for a, b, cols, picks in spans:
-                if a > end:
-                    rng.bit_generator.advance(a - end)
-                rng.random(out=buf[: b - a])
-                out[r, cols] = buf[picks]
-                end = b
-        out *= 2.0 * math.pi
-        return out
-    rows = max(1, _ANGLE_BLOCK // m)
-    block = np.empty((min(rows, hi - lo), m))
-    for a in range(0, hi - lo, rows):
-        drawn = block[: min(rows, hi - lo - a)]
-        rng.random(out=drawn)
-        np.multiply(drawn[:, positions], 2.0 * math.pi, out=out[a : a + drawn.shape[0]])
-    return out
+    return next(point_blocks(cfg, positions, lo, hi, max(1, hi - lo)), np.empty((len(positions), 0))).T
 
 
 #: Largest leaf of the pairwise summation tree.

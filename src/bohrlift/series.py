@@ -291,7 +291,9 @@ def monomial_map(poly):
     A monomial is a product of factor powers: z_j^e with z_j =
     exp(i theta_j) at torus angles theta of shape (S, >= width) for a
     PowerPoly, (b^e)^{-it} over the factors b^e of n (`trial_factors`)
-    at line times t of shape (S,) for a DirichletPoly.  A term whose
+    at line times t of shape (S,) for a DirichletPoly; coordinate-major
+    angles (as `sampling.point_blocks` draws them) on coordinates 0, ...,
+    k-1 are read in place, others picked per chunk.  A term whose
     prefix, the term without its last factor power, is a term too is
     that prefix times the power when the power's value serves more than
     once; any other term is a base value of its own.  A chunk of points
@@ -342,7 +344,13 @@ def monomial_map(poly):
         for k, base in enumerate(bases):
             for pos, e in base:
                 A[k, at[pos]] = e
-        phases = lambda theta, out: np.matmul(A, theta[:, active].T, out=out)
+        lead = active == list(range(len(active)))
+
+        def phases(theta, out):
+            # a pick is column-major too, so BLAS reads either layout alike, bit for bit
+            picked = theta[:, : len(active)] if lead and theta.strides[0] == theta.itemsize else theta[:, active]
+            np.matmul(A, picked.T, out=out)
+
     else:
         neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
         phases = lambda t, out: np.multiply.outer(neg_logs, t, out=out)

@@ -278,6 +278,23 @@ def test_evaluation_independent_of_chunk_size(monkeypatch, rng, entries):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_coordinate_major_angles_read_in_place_bit_for_bit():
+    # on coordinates 0..k-1 the kernel reads column-contiguous angles as they are and picks
+    # any other layout into that one, so that BLAS sums every phase in the same order
+    rng = np.random.default_rng(0)
+    terms = {MultiIndex.from_pairs([(j, 1)]): 1.0 for j in range(12)}
+    for _ in range(20):  # bases over several coordinates, whose phases are real sums
+        alpha = MultiIndex.from_pairs((int(j), int(rng.integers(1, 4))) for j in sorted(rng.choice(12, 5, replace=False)))
+        terms[alpha] = complex(rng.standard_normal(), rng.standard_normal())
+    P = PowerPoly(terms)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(300, P.width + 2))
+    picked = power_values_at_angles(P, theta)
+    assert np.array_equal(power_values_at_angles(P, np.asfortranarray(theta)), picked)
+    block = np.zeros((P.width + 2, 500))  # a wider coordinate-major block, as the Monte Carlo pass draws
+    block[:, :300] = theta.T
+    assert np.array_equal(power_values_at_angles(P, block[:, :300].T), picked)
+
+
 def direct_values(poly, points):
     """Reference evaluation: one exp per point per term, then the coefficient matmul."""
     C = series.coeff_matrix(poly)

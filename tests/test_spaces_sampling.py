@@ -17,7 +17,7 @@ from bohrlift import (
     pairwise_sum,
     torus_angles,
 )
-from bohrlift.sampling import _ANGLE_BLOCK, _SKIP, KRONECKER_SPAN, angle_rows, time_rows
+from bohrlift.sampling import KRONECKER_SPAN, angle_rows, point_blocks, time_rows
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
 
@@ -168,11 +168,16 @@ def test_torus_angles_shapes_and_determinism():
     assert not np.array_equal(a, c)
 
 
+def coordinate_draw(seed, positions, samples):
+    """Reference iid angles, one column at a time: column j is default_rng([seed, j]).uniform(0, 2 pi, samples)."""
+    return np.stack([np.random.default_rng([seed, j]).uniform(0.0, 2.0 * math.pi, samples) for j in positions], axis=1)
+
+
 @pytest.mark.parametrize("m", [1, 5, 300])
 def test_iid_angles_keep_the_uniform_stream(m):
-    # kept columns are those of the full-width uniform draw, bit for bit, across blocks
+    # every coordinate keeps its own uniform stream, bit for bit, whichever columns are kept
     cfg = SamplerConfig(1000, 8)
-    full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(1000, m))
+    full = coordinate_draw(8, range(m), 1000)
     assert np.array_equal(torus_angles(cfg, m), full)
     for positions in ([m - 1], sorted({0, m // 2, m - 1})):
         assert np.array_equal(angle_rows(cfg, positions, 0, cfg.samples), full[:, positions])
@@ -194,11 +199,11 @@ def test_kronecker_angles_follow_the_flow():
 
 @pytest.mark.parametrize("m", [1, 5, 300])
 def test_iid_row_ranges_are_rows_of_the_full_draw(m):
-    # numpy's random() takes one 64-bit output per double, so PCG64.advance(lo * m)
-    # starts row lo of the uniform draw; ranges start off the block boundaries
+    # numpy's random() takes one 64-bit output per double, so PCG64.advance(lo) starts
+    # row lo of every coordinate's stream; the last range straddles row 65_536 // m
     cfg = SamplerConfig(1000, 8)
-    full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(1000, m))
-    block = _ANGLE_BLOCK // m
+    full = coordinate_draw(8, range(m), 1000)
+    block = {1: 65_536, 5: 13_107, 300: 218}[m]
     ranges = [(0, 1000), (0, 1), (1, 2), (217, 999), (999, 1000), (block - 1, block + 1)]
     for positions in (list(range(m)), [m - 1], sorted({0, m // 2, m - 1})):
         for lo, hi in ranges:
@@ -210,18 +215,28 @@ def test_iid_row_ranges_are_rows_of_the_full_draw(m):
     "positions",
     [
         [0, 20_000],  # one long run inside a row
-        [20_000],  # one long leading run, which joins each row to the next
-        [3, 10, 4_106, 4_107, 9_000, 13_097, 13_200],  # runs of _SKIP - 1, more, exactly _SKIP, and short ones
-        [_SKIP, 2 * _SKIP + 1, 2 * _SKIP + 5],  # runs of exactly _SKIP
+        [20_000],  # one long leading run
+        [3, 10, 4_106, 4_107, 9_000, 13_097, 13_200],  # runs of 4,095, more, exactly 4,096, and short ones
+        [4_096, 8_193, 8_197],  # runs of exactly 4,096
     ],
 )
 def test_iid_rows_skip_long_unused_runs_bit_for_bit(positions):
-    # PCG64.advance over a run of unused columns lands where drawing it would
+    # unused coordinates are never drawn: a far coordinate reads its own stream
     cfg = SamplerConfig(40, 8)
-    m = positions[-1] + 1
-    full = np.random.default_rng(8).uniform(0.0, 2.0 * math.pi, size=(40, m))
+    full = coordinate_draw(8, positions, 40)
     for lo, hi in ((0, 40), (0, 1), (1, 2), (17, 39), (39, 40)):
-        assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi, positions])
+        assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi])
+
+
+def test_iid_angles_of_a_coordinate_do_not_depend_on_the_others():
+    cfg = SamplerConfig(1000, 8)
+    for lo, hi in ((0, 1000), (0, 1), (1, 2), (37, 999), (63, 65), (999, 1000)):
+        alone = angle_rows(cfg, [3], lo, hi)[:, 0]
+        assert np.array_equal(angle_rows(cfg, [0, 3, 900], lo, hi)[:, 1], alone)
+        # blocks of 64 rows from streams started once at row lo
+        blocks = [block[1].copy() for block in point_blocks(cfg, [0, 3, 900], lo, hi, 64)]
+        assert [len(b) for b in blocks] == [min(64, hi - a) for a in range(lo, hi, 64)]
+        assert np.array_equal(np.concatenate(blocks), alone)
 
 
 def test_kronecker_row_ranges_are_rows_of_the_full_draw():
