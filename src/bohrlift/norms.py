@@ -26,7 +26,7 @@ import numpy as np
 
 from . import series
 from .errors import DimensionCapError, NoClosedFormError
-from .multiindex import EMPTY_INDEX, MultiIndex
+from .multiindex import EMPTY_INDEX
 from .primes import factorize_all
 from .sampling import (
     KRONECKER_QMC,
@@ -51,7 +51,7 @@ TORUS_GRID_SUP = "torus_grid_sup"
 VERTICAL_MEAN = "vertical_mean"
 VERTICAL_SUP = "vertical_sup"
 
-#: Widest lift the exhaustive lattice scan will accept by default.
+#: Most used coordinates the exhaustive lattice scan will accept by default.
 DEFAULT_GRID_DIM_CAP = 8
 
 
@@ -187,10 +187,10 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     serves every chunk of points.  Under the Kronecker scheme a
     Dirichlet polynomial is evaluated unlifted at the flow times
     (omega^alpha(n) = n^{-it}), so no prime position is looked up;
-    otherwise poly is lifted once (`factorize_all`) and the lift is
-    evaluated at torus angles on the k coordinates its support uses,
-    each from its own stream (`sampling.point_blocks`): Haar measure is
-    a product, so the other coordinates integrate out.  The chunks are
+    otherwise the lift (`factorize_all`) is packed onto the k coordinates
+    its support uses (`series.pack`), the others integrating out, and is
+    evaluated at angles drawn at its positions `active`, each from its
+    own stream (`sampling.point_blocks`).  The chunks are
     split into contiguous shares, one per CPU (`_worker_count`) while
     the workers' work arrays fit _WORK_BUDGET.  Each worker starts its
     streams once, at the first row of its share, draws them in blocks
@@ -217,11 +217,8 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
         target, order, active = poly, slice(None), None
     else:
         lifted = factorize_all(keys) if dirichlet else keys
-        active = sorted({pos for alpha in lifted for pos, _ in alpha.pairs})
-        at = {pos: j for j, pos in enumerate(active)}
-        term = {MultiIndex.from_pairs((at[pos], e) for pos, e in alpha.pairs): i for i, alpha in enumerate(lifted)}
-        target = PowerPoly._moved({key: poly[keys[i]] for key, i in term.items()}, poly.space)
-        order = [term[key] for key in target.indices()]
+        active, target = series.pack(PowerPoly._moved({alpha: poly[key] for alpha, key in zip(lifted, keys)}, poly.space))
+        order = sorted(range(len(keys)), key=lambda i: lifted[i].order_key())  # target's term order: pack keeps the lift's
     stack = weights[moving][:, order, None] * C[order]  # (rows, terms, dim), in target's term order
     S = cfg.samples
     chunk, work_entries, monomials = series.monomial_map(target)
@@ -347,19 +344,20 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     non-decreasing since each lattice contains the previous one.  The
     values come from the separable engine of `lattice_value_chunks`,
     which folds exponents mod G, so any integer G >= 1 is valid.  The
-    lift width is capped to keep the G^m lattice enumerable.
+    scan runs on the k used coordinates (`series.pack`), capped to keep
+    the G^k lattice enumerable, and reports G^k points.
     """
     G = check_count(grid_per_dim, "grid_per_dim", 1)
-    P = bohr_lift(poly) if isinstance(poly, DirichletPoly) else poly
-    m = P.width
-    if m > dim_cap:
+    _, P = series.pack(bohr_lift(poly) if isinstance(poly, DirichletPoly) else poly)
+    k = P.width
+    if k > dim_cap:
         raise DimensionCapError(
-            f"lattice scan over {m} coordinates exceeds the cap {dim_cap}"
+            f"lattice scan over {k} used coordinates exceeds the cap {dim_cap}"
         )
     best = 0.0
     for vals in lattice_value_chunks(P, G):
         best = max(best, float(row_norms(vals, P.space).max()))
-    return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**m)
+    return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**k)
 
 
 def _line_norms(D: DirichletPoly, R: float, t_samples) -> tuple[np.ndarray, float, float, int]:

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import DimensionCapError
 from .norms import NormEstimate, check_count, lattice_value_chunks, norm_hp_rows
 from .sampling import SamplerConfig
-from .series import PowerPoly, monomial_at
+from .series import PowerPoly, monomial_at, pack
 
-#: Widest polynomial the grid-quadrature path will accept by default.
+#: Most used coordinates the grid-quadrature path will accept by default.
 DEFAULT_POISSON_DIM_CAP = 4
 
 
@@ -166,7 +166,8 @@ def poisson_convolve_numeric(
     (1 - r^2) / |1 - r e^{i theta}|^2 sampled on the grid and
     transformed the same way.  The convolution's quadrature values and
     their coefficients are an inverse and a forward FFT that cancel,
-    so the coefficients are the product spectrum over G^(2m) directly.
+    so the coefficients are the product spectrum over G^(2k) directly.
+    The quadrature and its cap count the k used coordinates (`series.pack`).
     The node count per coordinate must be an integer exceeding twice
     the largest per-coordinate degree plus one; then polynomial
     frequencies never alias (the engine folds nothing) and the only
@@ -174,9 +175,10 @@ def poisson_convolve_numeric(
     r^{grid - degree}.
     """
     G = check_count(grid_per_dim, "grid_per_dim", 1)
-    m = P.width
+    active, Q = pack(P)
+    m = Q.width
     if m > dim_cap:
-        raise DimensionCapError(f"quadrature over {m} coordinates exceeds the cap {dim_cap}")
+        raise DimensionCapError(f"quadrature over {m} used coordinates exceeds the cap {dim_cap}")
     _check_radii(P, r)
     max_deg = max((e for alpha in P.coeffs for _, e in alpha.pairs), default=0)
     if G <= 2 * max_deg + 1:
@@ -189,7 +191,7 @@ def poisson_convolve_numeric(
     d = P.space.dim
     spectrum = np.empty((G,) * m + (d,), dtype=np.complex128)
     flat, lo = spectrum.reshape(-1, d), 0
-    for block in lattice_value_chunks(P, G):
+    for block in lattice_value_chunks(Q, G):
         flat[lo : lo + len(block)] = block
         lo += len(block)
     np.fft.fftn(spectrum, axes=tuple(range(m)), out=spectrum)
@@ -197,14 +199,13 @@ def poisson_convolve_numeric(
     # per-coordinate kernel on the lattice offsets, transformed once each;
     # only the support's entries of the product spectrum are formed
     ell = np.arange(G)
-    alphas = list(P.coeffs)
-    idx = np.array([alpha.exponents + (0,) * (m - len(alpha.exponents)) for alpha in alphas]).T
+    idx = np.array([alpha.exponents + (0,) * (m - len(alpha.exponents)) for alpha in Q.indices()]).T
     coeffs = spectrum[tuple(idx)]
     for j in range(m):
-        rj = r.radii[j]
+        rj = r.radii[active[j]]
         kj = (1.0 - rj**2) / np.abs(1.0 - rj * np.exp(2j * math.pi * ell / G)) ** 2
         coeffs *= np.fft.fft(kj)[idx[j], None]
-    return PowerPoly(dict(zip(alphas, coeffs / G ** (2 * m))), P.space)
+    return PowerPoly(dict(zip(P.indices(), coeffs / G ** (2 * m))), P.space)
 
 
 def contraction_check(

@@ -48,8 +48,9 @@ class SamplerConfig:
         # exact types: bool is an int subclass
         if type(self.samples) is not int or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        # SeedSequence splits a seed into 32-bit words and pads with zeros: [s + j * 2**32, 0] would read [s, j]
+        if type(self.seed) is not int or not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must be an integer in [0, 2**32), got {self.seed!r}")
         if self.scheme not in VALID_SCHEMES:
             raise ValueError(f"scheme must be one of {VALID_SCHEMES}, got {self.scheme!r}")
 

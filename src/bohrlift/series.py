@@ -221,6 +221,14 @@ def restrict(P: PowerPoly, m: int) -> PowerPoly:
     return PowerPoly._moved({a: v for a, v in P.items() if a.width <= m}, P.space)
 
 
+def pack(P: PowerPoly) -> tuple[list, PowerPoly]:
+    """(active, Q): the sorted positions P's terms use, and P moved onto 0, ..., k-1 by the order-keeping map active[j] -> j."""
+    active = sorted({pos for alpha in P._coeffs for pos, _ in alpha.pairs})
+    at = {pos: j for j, pos in enumerate(active)}
+    moved = (MultiIndex._trusted(tuple((at[pos], e) for pos, e in alpha.pairs)) for alpha in P._coeffs)
+    return active, (P if len(active) == P.width else PowerPoly._moved(dict(zip(moved, P._coeffs.values())), P.space))
+
+
 def partial_sum(D: DirichletPoly, N: int) -> DirichletPoly:
     """Truncation S_N D = sum_{n <= N} a_n n^{-s}."""
     if N < 0:
@@ -289,11 +297,11 @@ def monomial_map(poly):
     """Multiplicative plan for poly's monomials: (points per chunk, work entries, map from points to monomials).
 
     A monomial is a product of factor powers: z_j^e with z_j =
-    exp(i theta_j) at torus angles theta of shape (S, >= width) for a
-    PowerPoly, (b^e)^{-it} over the factors b^e of n (`trial_factors`)
-    at line times t of shape (S,) for a DirichletPoly; coordinate-major
-    angles (as `sampling.point_blocks` draws them) on coordinates 0, ...,
-    k-1 are read in place, others picked per chunk.  A term whose
+    exp(i theta_j) at torus angles theta of shape (S, width) for a
+    PowerPoly, one column per coordinate, column-major (as a transposed
+    `sampling.point_blocks` block or a fancy pick lays them out), and
+    (b^e)^{-it} over the factors b^e of n (`trial_factors`) at line
+    times t of shape (S,) for a DirichletPoly.  A term whose
     prefix, the term without its last factor power, is a term too is
     that prefix times the power when the power's value serves more than
     once; any other term is a base value of its own.  A chunk of points
@@ -338,19 +346,11 @@ def monomial_map(poly):
         lo += len(level)
     columns = np.array([row[alpha] for alpha in support], dtype=np.intp)
     if power:
-        active = sorted({pos for base in bases for pos, _ in base})
-        at = {pos: i for i, pos in enumerate(active)}
-        A = np.zeros((len(bases), len(active)))  # base phases are A theta
+        A = np.zeros((len(bases), poly.width))  # base phases are A theta
         for k, base in enumerate(bases):
             for pos, e in base:
-                A[k, at[pos]] = e
-        lead = active == list(range(len(active)))
-
-        def phases(theta, out):
-            # a pick is column-major too, so BLAS reads either layout alike, bit for bit
-            picked = theta[:, : len(active)] if lead and theta.strides[0] == theta.itemsize else theta[:, active]
-            np.matmul(A, picked.T, out=out)
-
+                A[k, pos] = e
+        phases = lambda theta, out: np.matmul(A, theta.T, out=out)
     else:
         neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
         phases = lambda t, out: np.multiply.outer(neg_logs, t, out=out)
@@ -386,18 +386,21 @@ def monomial_map(poly):
 
 
 def evaluate(poly, points: np.ndarray) -> np.ndarray:
-    """(S, dim) values of poly at S points, in the form `monomial_map` takes.
+    """(S, dim) values of poly at S line times (S,) or torus angles (S, >= width).
 
-    Points go through one plan a chunk at a time, so work memory follows
-    the chunk, not the point count.  Chunk boundaries depend only on
-    the point and term counts, so seeded runs reproduce exactly.
+    A PowerPoly is packed (`pack`), and one plan takes each chunk's angles
+    at its used coordinates, picked column-major as `monomial_map` reads
+    them, so work memory follows the chunk, not the point count.  Chunk
+    boundaries depend only on the point and term counts, so seeded runs
+    reproduce exactly.
     """
+    active, poly = pack(poly) if isinstance(poly, PowerPoly) else (slice(None), poly)
     chunk, _, monomials = monomial_map(poly)
     C = coeff_matrix(poly)
     out = np.empty((points.shape[0], poly.space.dim), dtype=np.complex128)
     work = []
     for lo in range(0, points.shape[0], chunk):
-        E = monomials(points[lo : lo + chunk], work)
+        E = monomials(points[lo : lo + chunk][..., active], work)
         np.matmul(E, C, out=out[lo : lo + E.shape[0]])
     return out
 

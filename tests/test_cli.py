@@ -112,6 +112,26 @@ def test_norm_bad_p_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_norm_grid_sup_of_a_late_prime(tmp_path):
+    # 97 is the 25th prime, past the lattice cap of 8, but the lift uses one coordinate
+    src = tmp_path / "d.json"
+    src.write_text(dumps(DirichletPoly({1: 1.0, 97: 1.0})))
+    out = tmp_path / "n.json"
+    code = run_spec(
+        "norm", str(out), input_path=str(src), p="inf", exact=False,
+        grid=64, R=None, t_samples=4097, samples=100, seed=0, scheme="iid",
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["value"] == 2.0
+
+
+def test_norm_refuses_a_seed_of_2_to_the_32():
+    argv = ["norm", "--gallery", "zeta_shift", "--size", "5", "--p", "4", "--samples", "100", "--seed"]
+    assert CliRunner().invoke(cli.main, argv + ["4294967295"]).exit_code == 0
+    result = CliRunner().invoke(cli.main, argv + ["4294967296"])
+    assert result.exit_code == 2 and "seed" in result.output
+
+
 def test_norm_at_a_large_p_exits_0_with_a_finite_value():
     # sample norms near 10 overflow x^400; the power mean must not pass through it unscaled
     argv = ["norm", "--gallery", "zeta_shift", "--size", "50", "--p", "400", "--samples", "1000"]

@@ -523,6 +523,24 @@ def test_lattice_scan_memory_follows_one_block(rng):
     assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize("G", [1, 3, 16])
+def test_lattice_scan_runs_on_the_used_coordinates(G):
+    # 97 is the 25th prime: the lift has width 25 but one used coordinate
+    est = norm_hinf_grid(DirichletPoly({1: 1.0, 97: 1.0}), G)
+    assert (est.value, est.samples) == (2.0, G)
+
+
+def test_lattice_scan_counts_only_used_points():
+    # 11 is the 5th prime; a scan over the width would visit 16^5 points
+    est = norm_hinf_grid(DirichletPoly({1: 1.0, 11: 1.0}), 16)
+    assert (est.value, est.samples) == (2.0, 16)
+    # two used coordinates far apart pass the default cap of 8
+    P = PowerPoly({MultiIndex.from_pairs([(0, 1)]): 1.0, MultiIndex.from_pairs([(30, 1)]): 1.0})
+    assert P.width == 31 > norms.DEFAULT_GRID_DIM_CAP
+    est = norm_hinf_grid(P, 8)
+    assert est.samples == 64 and est.value == pytest.approx(2.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("bad", [16.5, True, "16", None])
 def test_hinf_grid_rejects_a_non_integer_grid(bad):
     with pytest.raises(TypeError):

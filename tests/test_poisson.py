@@ -188,6 +188,38 @@ def test_semigroup_dyadic_exact():
     assert once == both  # bitwise: dyadic radii multiply exactly
 
 
+def test_numeric_runs_on_the_used_coordinates():
+    # 97 is the 25th prime: one used coordinate, far below the width's 25
+    P = bohr_lift(DirichletPoly({1: 1.0, 97: 1.0}))
+    r = RadiusVector([0.2 + 0.01 * j for j in range(25)])  # 0.44 at coordinate 24: a kernel tail of 0.44^63
+    assert P.width == 25
+    assert max_coeff_gap(poisson_convolve_numeric(P, r, 64), poisson_convolve_exact(P, r)) <= 1e-9
+
+
+def moved(P: PowerPoly, at: dict) -> PowerPoly:
+    """P with each position pos moved to at[pos]."""
+    return PowerPoly({MultiIndex.from_pairs((at[pos], e) for pos, e in a.pairs): v for a, v in P.items()}, P.space)
+
+
+def test_an_unused_coordinate_adds_no_quadrature_error(rng):
+    # z_0 + z_2, the lift of 2^{-s} + 5^{-s}, reads the values of z_0 + z_1 with the radii of
+    # its used coordinates, bit for bit: the kernel of coordinate 1 no longer enters at all
+    wide = bohr_lift(DirichletPoly({2: 1.0, 5: 1.0}))
+    packed = PowerPoly({MultiIndex.from_pairs([(0, 1)]): 1.0, MultiIndex.from_pairs([(1, 1)]): 1.0})
+    got = poisson_convolve_numeric(wide, RadiusVector([0.6, 0.3, 0.6]), 8)
+    assert got == moved(poisson_convolve_numeric(packed, RadiusVector([0.6, 0.6]), 8), {0: 0, 1: 2})
+    # and on random C^2 polynomials on coordinates 1, 3 and 4 of width 5
+    for _ in range(5):
+        terms = {MultiIndex.from_pairs([(4, 1)])}
+        for _ in range(4):
+            positions = sorted(int(pos) for pos in rng.choice([1, 3, 4], 2, replace=False))
+            terms.add(MultiIndex.from_pairs((pos, int(rng.integers(1, 3))) for pos in positions))
+        P = PowerPoly({a: rng.normal(size=2) + 1j * rng.normal(size=2) for a in terms}, CoeffSpace(2))
+        radii = rng.uniform(0.0, 0.9, size=5)
+        packed = poisson_convolve_numeric(moved(P, {1: 0, 3: 1, 4: 2}), RadiusVector(radii[[1, 3, 4]]), 12)
+        assert poisson_convolve_numeric(P, RadiusVector(radii), 12) == moved(packed, {0: 1, 1: 3, 2: 4})
+
+
 def test_numeric_grid_validation():
     P = bohr_lift(DirichletPoly({8: 1.0}))  # degree 3 in one variable
     with pytest.raises(ValueError):

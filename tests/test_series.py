@@ -240,6 +240,23 @@ def test_angle_evaluation_consistency(rng):
     assert np.allclose(via_torus, via_line, atol=1e-12)
 
 
+def test_pack_moves_onto_the_used_coordinates_in_order(rng):
+    for _ in range(50):
+        terms = set()
+        for _ in range(int(rng.integers(1, 10))):  # up to 3 of 60 positions per term, or none
+            positions = sorted(int(pos) for pos in rng.choice(60, int(rng.integers(0, 4)), replace=False))
+            terms.add(MultiIndex.from_pairs((pos, int(rng.integers(1, 4))) for pos in positions))
+        P = PowerPoly({a: complex(rng.normal(), rng.normal()) for a in terms})
+        active, Q = series.pack(P)
+        assert active == sorted({pos for a in P.indices() for pos, _ in a.pairs})
+        assert Q.width == len(active) and len(Q) == len(P)
+        # the monotone map keeps indices() order, and moves the stored vectors as they are
+        for a, b in zip(P.indices(), Q.indices()):
+            assert b.pairs == tuple((active.index(pos), e) for pos, e in a.pairs)
+            assert Q[b] is P[a]
+        assert series.pack(Q) == (list(range(len(active))), Q) and series.pack(Q)[1] is Q
+
+
 CHUNK_TERMS = 40
 
 

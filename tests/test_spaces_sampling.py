@@ -157,6 +157,15 @@ def test_sampler_config_validation():
             SamplerConfig(samples, seed)
 
 
+def test_sampler_config_seeds_are_one_32_bit_word():
+    # SeedSequence pads entropy words with zeros, so coordinate 3 of seed 5 would read the
+    # stream of coordinate 0 of seed 5 + 3 * 2**32
+    assert SamplerConfig(100, 2**32 - 1).seed == 2**32 - 1
+    for seed in (2**32, 5 + 3 * 2**32):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(1000, seed)
+
+
 def test_torus_angles_shapes_and_determinism():
     cfg = SamplerConfig(50, 3)
     a = torus_angles(cfg, 4)
