@@ -307,25 +307,33 @@ def lattice_value_chunks(P: PowerPoly, grid: int):
     d_j is the largest folded exponent in coordinate j), then contract
     one axis at a time with the (grid, d_j + 1) table of `_axis_table`.
     The leading axis is contracted first, on the small tensor; each
-    block then contracts the other axes for one leading-axis slice of
-    grid^(m-1) points (or for as many slices as fit in _CHUNK_ENTRIES
-    values, when slices are smaller), so memory follows the block, not
-    the lattice.
+    block then contracts the other axes for as many leading-axis slices
+    as fit in _CHUNK_ENTRIES values.  A slice too large alone is scanned
+    as the lattice of the other m - 1 coordinates, so no block holds
+    more than _CHUNK_ENTRIES values, whatever the lattice size.
     """
     m = P.width
     if m == 0:  # the one-point lattice
         yield coeff_matrix(P).sum(axis=0, keepdims=True)
         return
-    dim = P.space.dim
     folded = np.zeros((len(P), m), dtype=np.intp)
     for i, alpha in enumerate(P.indices()):
         for pos, e in alpha.pairs:
             folded[i, pos] = e % grid
     shape = tuple(int(d) + 1 for d in folded.max(axis=0))
-    T = np.zeros(shape + (dim,), dtype=np.complex128)
+    T = np.zeros(shape + (P.space.dim,), dtype=np.complex128)
     np.add.at(T, tuple(folded.T), coeff_matrix(P))  # folded terms may share a cell
-    tables = [_axis_table(grid, n) for n in shape]
-    lead = (tables[0] @ T.reshape(shape[0], -1)).reshape((grid,) + shape[1:] + (dim,))
+    yield from _tensor_value_chunks(T, [_axis_table(grid, n) for n in shape])
+
+
+def _tensor_value_chunks(T: np.ndarray, tables: list):
+    """The blocks of `lattice_value_chunks` for a coefficient tensor T of shape (d_1 + 1, ..., d_m + 1, dim)."""
+    m, grid, dim = len(tables), len(tables[0]), T.shape[-1]
+    lead = (tables[0] @ T.reshape(T.shape[0], -1)).reshape((grid,) + T.shape[1:])
+    if m > 1 and grid ** (m - 1) * dim > _CHUNK_ENTRIES:
+        for X in lead:
+            yield from _tensor_value_chunks(X, tables[1:])
+        return
     step = max(1, _CHUNK_ENTRIES // (grid ** (m - 1) * dim))
     for lo in range(0, grid, step):
         X = lead[lo : lo + step]

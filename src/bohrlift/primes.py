@@ -11,12 +11,12 @@ the primes below 2^16, then over the larger table primes that divide
 what is left, found by one vector remainder; a cofactor left past the
 table grows the table to it, or fails loudly past the cap.
 
-The sieve is a process-wide smallest-prime-factor table that grows on
-demand (amortized doubling) and never shrinks.  Growth happens under a
-lock and installs fresh arrays atomically, so concurrent readers always
-see a consistent snapshot.  The environment variable BOHRLIFT_SIEVE_CAP
-caps the table size; requests past the cap fail loudly instead of
-swallowing memory.
+The sieve is a process-wide table of the position of n's smallest prime
+factor.  It grows on demand (amortized doubling), never shrinks, and
+grows under a lock, installing fresh arrays so that concurrent readers
+always see a consistent snapshot.  The environment variable
+BOHRLIFT_SIEVE_CAP caps the table size; requests past the cap fail
+loudly instead of swallowing memory.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _size_cap() -> int:
 
 
 def _grow(target: int) -> None:
-    """Extend the smallest-prime-factor table to cover [2, target]."""
+    """Extend the table to cover [2, target]; _primes[_spf[n]] is n's smallest prime factor."""
     global _spf, _primes, _prime_array, _limit
     with _lock:
         if target <= _limit:
@@ -67,18 +67,20 @@ def _grow(target: int) -> None:
                 f"sieve request {target} exceeds cap {cap}; raise {SIEVE_CAP_ENV} to allow it"
             )
         limit = min(max(2 * _limit, target, 1 << 10), cap)
-        spf = np.zeros(limit + 1, dtype=np.int32)
+        spf = np.full(limit + 1, -1, dtype=np.int32)
+        k = 0  # the position of p, the k-th prime up to sqrt(limit)
         for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
+            if spf[p] < 0:
                 block = spf[p * p :: p]
-                block[block == 0] = p
-        tail = spf[2:]
-        unset = tail == 0
-        tail[unset] = np.arange(2, limit + 1, dtype=np.int32)[unset]
-        prime_array = np.flatnonzero(tail == np.arange(2, limit + 1, dtype=np.int32)).astype(np.int64) + 2
-        _spf = spf
+                block[block < 0] = k
+                k += 1
+        prime_array = np.flatnonzero(spf < 0)[2:].astype(np.int64)  # the entries left unset past 0 and 1
+        spf[prime_array] = np.arange(prime_array.size, dtype=np.int32)
+        # primes before the table, the table before the limit: positions only extend the prime
+        # list, so a reader that sees the new table also sees a prime for each of its positions
         _primes = prime_array.tolist()
         _prime_array = prime_array
+        _spf = spf
         _limit = limit
 
 
@@ -154,40 +156,37 @@ def factorize(n: int) -> MultiIndex:
         if n <= cap:
             _grow(n)
     if n <= _limit:
-        found = []
-        spf = _spf
+        pairs = []
+        spf, primes = _spf, _primes  # in this order, the reverse of _grow's installs
         while n > 1:
-            p = spf.item(n)
-            e = 1
-            n //= p
+            pos, e = spf.item(n), 0
+            p = primes[pos]
             while n % p == 0:
-                e += 1
                 n //= p
-            found.append((p, e))
-    else:
-        _grow(min(math.isqrt(n), cap))
-        k = bisect_right(_primes, 1 << 16)
-        found = trial_factors(n, islice(_primes, k))  # stops early on smooth n
+                e += 1
+            pairs.append((pos, e))
+        return MultiIndex._trusted(tuple(pairs))
+    _grow(min(math.isqrt(n), cap))
+    k = bisect_right(_primes, 1 << 16)
+    found = trial_factors(n, islice(_primes, k))  # stops early on smooth n
+    m = found[-1][0]
+    if m > _primes[k - 1] ** 2:
+        # small primes ran out below sqrt(m): a vector remainder (m fits int64)
+        # finds the larger table primes dividing m, the only ones tried
+        table = _prime_array[k : bisect_right(_primes, math.isqrt(m))]
+        found = found[:-1] + trial_factors(m, table[m % table == 0].tolist())
         m = found[-1][0]
-        if m > _primes[k - 1] ** 2:
-            # small primes ran out below sqrt(m): a vector remainder (m fits int64)
-            # finds the larger table primes dividing m, the only ones tried
-            table = _prime_array[k : bisect_right(_primes, math.isqrt(m))]
-            found = found[:-1] + trial_factors(m, table[m % table == 0].tolist())
-            m = found[-1][0]
-        if m > _limit:
-            # no table prime up to sqrt(m) divides m: m is prime, or its
-            # factors all exceed the cap; either way its position needs
-            # the prime table out to m
-            if m > cap:
-                raise SieveCapError(
-                    f"factorize({n}) needs primes near {m}, past the cap {cap}; "
-                    f"raise {SIEVE_CAP_ENV} to allow it"
-                )
-            _grow(m)
-    primes = _primes
-    pairs = tuple((bisect_left(primes, p), e) for p, e in found)
-    return MultiIndex._trusted(pairs)
+    if m > _limit:
+        # no table prime up to sqrt(m) divides m: m is prime, or its
+        # factors all exceed the cap; either way its position needs
+        # the prime table out to m
+        if m > cap:
+            raise SieveCapError(
+                f"factorize({n}) needs primes near {m}, past the cap {cap}; "
+                f"raise {SIEVE_CAP_ENV} to allow it"
+            )
+        _grow(m)
+    return MultiIndex._trusted(tuple((bisect_left(_primes, p), e) for p, e in found))
 
 
 def factorize_all(ns: list[int]) -> list[MultiIndex]:
@@ -201,7 +200,7 @@ def factorize_all(ns: list[int]) -> list[MultiIndex]:
     top = max((n for n in ns if n <= cap), default=1)
     if top > _limit:
         _grow(top)
-    spf, prime_array = _spf, _prime_array  # read after the growth: both cover top
+    spf, prime_array = _spf, _prime_array  # read after the growth: both cover top, and every position of spf
     out: list = [None] * len(ns)
     batch = []
     for i, n in enumerate(ns):
@@ -213,21 +212,21 @@ def factorize_all(ns: list[int]) -> list[MultiIndex]:
         return out
     rest = np.array([ns[i] for i in batch], dtype=np.int64)
     term = np.arange(len(batch))
-    terms, factors = [], []
-    while rest.size:  # rounds yield each term's prime factors in increasing order
-        p = spf[rest]
+    terms, positions = [], []
+    while rest.size:  # rounds yield the positions of each term's prime factors in increasing order
+        pos = spf[rest]
         terms.append(term)
-        factors.append(p)
-        rest //= p
+        positions.append(pos)
+        rest //= prime_array[pos]
         live = rest > 1
         rest, term = rest[live], term[live]
     term = np.concatenate(terms)
     order = np.argsort(term, kind="stable")
-    term, factor = term[order], np.concatenate(factors)[order]
-    # one pair per run of equal (term, factor): position of the factor and the run length
-    starts = np.flatnonzero(np.r_[True, (term[1:] != term[:-1]) | (factor[1:] != factor[:-1])])
+    term, pos = term[order], np.concatenate(positions)[order]
+    # one pair per run of equal (term, position): the position and the run length
+    starts = np.flatnonzero(np.r_[True, (term[1:] != term[:-1]) | (pos[1:] != pos[:-1])])
     exps = np.diff(np.r_[starts, term.size])
-    pairs = list(zip(np.searchsorted(prime_array, factor[starts]).tolist(), exps.tolist()))
+    pairs = list(zip(pos[starts].tolist(), exps.tolist()))
     bounds = np.flatnonzero(np.r_[True, term[starts][1:] != term[starts][:-1], True]).tolist()
     for i, lo, hi in zip(batch, bounds, bounds[1:]):
         out[i] = MultiIndex._trusted(tuple(pairs[lo:hi]))

@@ -58,14 +58,9 @@ class SamplerConfig:
         return SamplerConfig(self.samples, seed, self.scheme)
 
 
-def _stream(seed, skip: int) -> np.random.Generator:
-    """default_rng(seed) past its first `skip` doubles: random() takes one 64-bit output per double."""
-    return np.random.Generator(np.random.PCG64(seed).advance(skip))
-
-
 def time_rows(cfg: SamplerConfig, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of the Kronecker scheme's flow times, cfg.samples uniform draws from [0, KRONECKER_SPAN)."""
-    return _stream(cfg.seed, lo).uniform(0.0, KRONECKER_SPAN, size=hi - lo)
+    return next(point_blocks(cfg, None, lo, hi, max(1, hi - lo)), np.empty(0))
 
 
 def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
@@ -78,33 +73,32 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
 def point_blocks(cfg: SamplerConfig, positions, lo: int, hi: int, step: int):
     """Rows [lo, hi) of the sample points, `step` rows at a time; a block holds only until the next is drawn.
 
-    With positions None the points are the Kronecker flow times of
-    `time_rows`, blocks of shape (rows,).  Otherwise they are the angles
-    at the coordinates `positions`, coordinate-major blocks of shape (k,
-    rows).  Kronecker angles are -t log p_j mod 2 pi at these
-    coordinates alone.  The iid angle j of sample i is 2 pi times double
-    i of default_rng([seed, j]), one stream per coordinate, so a
-    coordinate's angles do not depend on which others are drawn, and
-    default_rng([seed, 0]) is default_rng(seed).  Each stream is started
-    once, at row lo, by PCG64.advance; the flow times, drawn a block
-    at a time, are cheap to restart.
+    With positions None the points are the Kronecker flow times,
+    KRONECKER_SPAN times the doubles of default_rng(seed), blocks of
+    shape (rows,).  Otherwise they are the angles at the coordinates
+    `positions`, coordinate-major blocks of shape (k, rows).  Kronecker
+    angles are -t log p_j mod 2 pi at these coordinates alone.  The iid
+    angle j of sample i is 2 pi times double i of default_rng([seed, j]),
+    one stream per coordinate, so a coordinate's angles do not depend on
+    which others are drawn, and default_rng([seed, 0]) is
+    default_rng(seed).  Each stream is started once, at row lo, by
+    PCG64.advance.
     """
-    if positions is not None and cfg.scheme != KRONECKER_QMC:
-        streams = [_stream([cfg.seed, j], lo) for j in positions]
-        buf = np.empty((len(streams), min(step, hi - lo)))
-    elif positions is not None:
+    iid = positions is not None and cfg.scheme != KRONECKER_QMC
+    seeds = [[cfg.seed, j] for j in positions] if iid else [cfg.seed]
+    # default_rng(seed) past its first lo doubles: random() takes one 64-bit output per double
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(lo)) for seed in seeds]
+    if positions is not None and not iid:
         neg_logs = -np.array([[math.log(nth_prime(j))] for j in positions])
+    buf = np.empty((len(streams), min(step, hi - lo)))
     for a in range(lo, hi, step):
-        if positions is None:
-            yield time_rows(cfg, a, min(a + step, hi))
-        elif cfg.scheme == KRONECKER_QMC:
-            yield np.mod(neg_logs * time_rows(cfg, a, min(a + step, hi)), 2.0 * math.pi)
-        else:
-            block = buf[:, : min(step, hi - a)]
-            for stream, row in zip(streams, block):
-                stream.random(out=row)
-            block *= 2.0 * math.pi  # uniform(0, 2 pi) is 2 pi times random(), bit for bit
-            yield block
+        block = buf[:, : min(step, hi - a)]
+        for stream, row in zip(streams, block):
+            stream.random(out=row)
+        block *= 2.0 * math.pi if iid else KRONECKER_SPAN  # uniform(0, s) is s times random(), bit for bit
+        if not iid:  # one row of flow times, or the flow's angles at the positions
+            block = block[0] if positions is None else np.mod(neg_logs * block[0], 2.0 * math.pi)
+        yield block
 
 
 def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:

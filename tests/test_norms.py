@@ -523,6 +523,39 @@ def test_lattice_scan_memory_follows_one_block(rng):
     assert peak <= 8 * 2**20
 
 
+def test_lattice_blocks_hold_at_most_a_chunk_of_values(rng):
+    # 6 used coordinates at dim 2 and G = 16: one leading-axis slice alone is 2 * 16^5
+    # values, 32 times the chunk, so slices are scanned as lattices of fewer coordinates
+    alphas = {(0, 0, 0, 0, 0, 1)}
+    while len(alphas) < 12:
+        alphas.add(tuple(int(e) for e in rng.integers(0, 4, size=6)))
+    P = PowerPoly({MultiIndex(a): rng.normal(size=2) + 1j * rng.normal(size=2) for a in alphas}, CoeffSpace(2))
+    G = 16
+    scale = sum(float(np.linalg.norm(v)) for _, v in P.items())
+    lo = 0
+    for b, block in enumerate(lattice_value_chunks(P, G)):
+        assert block.shape[1] == 2 and block.size <= series._CHUNK_ENTRIES
+        if b % 101 == 0 or lo + len(block) == G**6:  # every 101st block against the monomial kernel, and the last
+            points = np.unravel_index(np.arange(lo, lo + len(block)), (G,) * 6)  # C order, as the blocks
+            expected = evaluate(P, np.stack(points, axis=1) * (2.0 * math.pi / G))
+            assert np.abs(block - expected).max() <= 4e-14 * scale
+        lo += len(block)
+    assert lo == G**6
+
+
+def test_lattice_scan_of_a_six_prime_polynomial_stays_small():
+    # zeta_shift 13 uses the primes 2, ..., 13: a leading-axis slice at G = 16 is 16^5 values (16 MiB)
+    D = gallery("zeta_shift", 13)
+    tracemalloc.start()
+    try:
+        est = norm_hinf_grid(D, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 16**6
+    assert peak <= 8 * 2**20
+
+
 @pytest.mark.parametrize("G", [1, 3, 16])
 def test_lattice_scan_runs_on_the_used_coordinates(G):
     # 97 is the 25th prime: the lift has width 25 but one used coordinate

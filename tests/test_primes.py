@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bohrlift import EMPTY_INDEX, MAX_INDEX, MultiIndex, factorize, index_of, nth_prime, primes_up_to
 from bohrlift.errors import IndexRangeError, SieveCapError
 from bohrlift import primes as primes_module
-from bohrlift.primes import SIEVE_CAP_ENV, sieve_limit, trial_factors
+from bohrlift.primes import SIEVE_CAP_ENV, factorize_all, sieve_limit, trial_factors
 
 
 def test_factorize_known_values():
@@ -86,6 +86,50 @@ def test_nth_prime_reaches_every_prime_under_the_cap(monkeypatch):
     with pytest.raises(SieveCapError, match="position 1000000 lies past the cap 1048576"):
         nth_prime(10**6)
     assert sieve_limit() == 1 << 16
+
+
+def _fresh_table(monkeypatch):
+    # an empty table, as in a new process; the one it replaces is restored after the test
+    for name, fresh in (("_spf", np.zeros(2, dtype=np.int32)), ("_primes", []), ("_prime_array", np.zeros(0, dtype=np.int64)), ("_limit", 1)):
+        monkeypatch.setattr(primes_module, name, fresh)
+
+
+def _check_positions():
+    # the table holds the position of each n's smallest prime factor, checked against a plain sieve
+    limit = sieve_limit()
+    reference = np.arange(limit + 1)
+    for p in range(2, int(limit**0.5) + 1):
+        if reference[p] == p:
+            block = reference[p * p :: p]
+            np.minimum(block, p, out=block)
+    spf, primes = primes_module._spf, primes_module._primes
+    assert len(spf) == limit + 1
+    assert np.array_equal(np.asarray(primes)[spf[2:]], reference[2:])
+    assert np.array_equal(spf[primes], np.arange(len(primes)))
+    assert primes == np.flatnonzero(reference == np.arange(limit + 1))[2:].tolist()
+
+
+def test_table_holds_smallest_prime_factor_positions(monkeypatch):
+    _fresh_table(monkeypatch)
+    primes_up_to(10**5)
+    assert sieve_limit() == 10**5
+    _check_positions()
+    before = primes_module._spf.copy()
+    factorize(250_007)  # a second growth, past the first table: every position stays put
+    assert sieve_limit() >= 250_007
+    _check_positions()
+    assert np.array_equal(primes_module._spf[: len(before)], before)
+
+
+def test_batch_factorization_matches_the_scalar_walk(monkeypatch):
+    monkeypatch.setenv(SIEVE_CAP_ENV, str(1 << 21))  # keeps the table cheap to grow
+    _fresh_table(monkeypatch)
+    ns = list(range(1, 3001))
+    assert factorize_all(ns) == [factorize(n) for n in ns]
+    # below the table, just past it, and far past it (giants split by trial division)
+    for n in (97, 360360, sieve_limit(), sieve_limit() + 1, 3 * 1999993, 8 * 65537 * 1000003, 2**62, 3**39, MAX_INDEX):
+        assert factorize_all([n]) == [factorize(n)]
+        assert index_of(factorize(n)) == n
 
 
 def test_large_prime_factor_stays_sparse():

@@ -259,6 +259,18 @@ def test_kronecker_row_ranges_are_rows_of_the_full_draw():
         assert np.array_equal(angle_rows(cfg, positions, lo, hi), full[lo:hi])
 
 
+def test_kronecker_blocks_are_rows_of_the_full_draw():
+    # times and prime angles alike, in 64-row blocks from one stream started at row lo
+    cfg = SamplerConfig(1000, 11, KRONECKER_QMC)
+    positions = [0, 3, 7]
+    for lo, hi in ((0, 1000), (0, 1), (1, 2), (37, 999), (63, 65), (999, 1000)):
+        times = [block.copy() for block in point_blocks(cfg, None, lo, hi, 64)]
+        assert [len(b) for b in times] == [min(64, hi - a) for a in range(lo, hi, 64)]
+        assert np.array_equal(np.concatenate(times), time_rows(cfg, lo, hi))
+        angles = [block.copy() for block in point_blocks(cfg, positions, lo, hi, 64)]
+        assert np.array_equal(np.concatenate(angles, axis=1).T, angle_rows(cfg, positions, lo, hi))
+
+
 def test_pairwise_sum_matches_fsum():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(10001)
