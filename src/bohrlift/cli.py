@@ -40,6 +40,7 @@ from .analysis import (
 from .errors import EstimatorInconsistencyError, SieveCapError
 from .gallery import DEFAULT_SIGMA, GALLERY, gallery
 from .norms import (
+    check_count,
     norm_h2_exact,
     norm_hinf_grid,
     norm_hp_mc,
@@ -452,7 +453,7 @@ def _handle_cayley_check(spec: ExperimentSpec):
     """Disc/half-plane round trips and the Stolz-ratio identity; exits 3 past 1e-12."""
     params = spec.params
     rng = np.random.default_rng(params["seed"])
-    trials = params["trials"]
+    trials = check_count(params["trials"], "trials", 1)
     worst_round = 0.0
     for _ in range(trials):
         radius = math.sqrt(rng.uniform()) * 0.999

@@ -19,6 +19,7 @@ how the work is split or scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,49 +118,56 @@ def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
 _LEAF = 64
 
 
-def _leaf_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sum of x[lo:hi] for every leaf, each added left to right from 0.0."""
-    # longest first, so the leaves that have a term k are a prefix
-    order = np.argsort(lo - hi, kind="stable")
-    first = lo[order]
-    longer = np.searchsorted((lo - hi)[order], -np.arange(_LEAF))  # leaves longer than k
-    running = np.zeros(lo.size)
-    for k in range(np.count_nonzero(longer)):
-        running[: longer[k]] += x[first[: longer[k]] + k]
-    sums = np.empty(lo.size)
-    sums[order] = running
-    return sums
+@functools.lru_cache(maxsize=8)
+def _tree(n: int) -> tuple:
+    """pairwise_sum's tree on n terms, built once per length: (columns, counts, depths).
+
+    Row k of columns indexes term k of every leaf, leaves longest first,
+    so the counts[k] leaves that have a term k are the row's prefix.
+    depths holds, from the deepest up, which nodes of a depth split and
+    where its leaves, in index order, stand among the longest-first ones.
+    """
+    lo, hi = np.array([0]), np.array([n])
+    tree = []  # per depth, the deepest first: which nodes split, and the bounds of its leaves
+    while True:
+        split = hi - lo > _LEAF
+        tree.insert(0, (split, lo[~split], hi[~split]))
+        if not split.any():
+            break
+        mid = (lo[split] + hi[split]) // 2
+        lo = np.stack([lo[split], mid], axis=1).reshape(-1)
+        hi = np.stack([mid, hi[split]], axis=1).reshape(-1)
+    first = np.concatenate([lo for _, lo, _ in tree])
+    size = np.concatenate([hi for _, _, hi in tree]) - first
+    order = np.argsort(-size)
+    k = np.arange(size.max())[:, None]
+    places = np.split(np.argsort(order), np.cumsum([lo.size for _, lo, _ in tree])[:-1])
+    return first[order] + k, np.count_nonzero(size[order] > k, axis=1), [(split, at) for (split, *_), at in zip(tree, places)]
 
 
 def pairwise_sum(x: np.ndarray) -> float:
     """Sum over a fixed binary tree on the index, independent of scheduling.
 
     The tree splits at the midpoint and adds leaves of at most 64 terms
-    left to right, so the floating-point result is a pure function of
-    the input vector.  The sums of one depth are computed together, from
-    the deepest up, which keeps every addition of that definition.
+    left to right from 0.0, so the floating-point result is a pure
+    function of the input vector, which is only read.  Over the tree of
+    its length (`_tree`) each term position of the leaves is one vector
+    add, and one depth's sums are paired at once, from the deepest up.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size == 0:
-        return 0.0
-    lo, hi = np.array([0]), np.array([x.size])
-    tree = []  # per depth: node bounds in index order, and which nodes split
-    while True:
-        split = hi - lo > _LEAF
-        tree.append((lo, hi, split))
-        if not split.any():
-            break
-        mid = (lo[split] + hi[split]) // 2
-        lo = np.stack([lo[split], mid], axis=1).reshape(-1)
-        hi = np.stack([mid, hi[split]], axis=1).reshape(-1)
-    below = None
-    for lo, hi, split in reversed(tree):
-        sums = np.empty(lo.size)
-        sums[~split] = _leaf_sums(x, lo[~split], hi[~split])
-        if below is not None:
-            sums[split] = below[0::2] + below[1::2]
-        below = sums
-    return float(below[0])
+    columns, counts, depths = _tree(x.size)
+    running = np.zeros(columns.shape[1])
+    step = max(1, 8192 // len(running))  # 64 KiB gathers come from the heap, not from fresh pages
+    for a in range(0, len(columns), step):
+        # terms past a leaf's end are gathered but never added; clip keeps the last leaf's in range
+        for terms, c in zip(x.take(columns[a : a + step], mode="clip"), counts[a : a + step]):
+            running[:c] += terms[:c]
+    sums = np.empty(0)
+    for split, at in depths:
+        pairs = sums[0::2] + sums[1::2]
+        sums = np.empty(split.size)
+        sums[~split], sums[split] = running[at], pairs
+    return float(sums[0])
 
 
 def pairwise_mean(x: np.ndarray) -> float:

@@ -301,19 +301,21 @@ def monomial_map(poly):
     PowerPoly, one column per coordinate, column-major (as a transposed
     `sampling.point_blocks` block or a fancy pick lays them out), and
     (b^e)^{-it} over the factors b^e of n (`trial_factors`) at line
-    times t of shape (S,) for a DirichletPoly.  A term whose
-    prefix, the term without its last factor power, is a term too is
-    that prefix times the power when the power's value serves more than
-    once; any other term is a base value of its own.  A chunk of points
-    costs one tan per base value (`_unit`), never more than one per
-    term, and one complex multiply per term, whatever the degrees.  The
-    map returns the (S, terms) matrix of monomials, columns in
-    coeff_matrix(poly) order, in a work buffer that its next call
-    overwrites; S must not exceed the chunk size, which keeps the
-    (terms + 1, S) work matrix within _CHUNK_ENTRIES.  The plan itself
-    is read-only, so threads may share it: each caller passes its own
-    list as `work`, which the first call fills with chunk-sized work
-    arrays; the work entries returned are their total size.
+    times t of shape (S,) for a DirichletPoly.  A term whose prefix,
+    the term without its last factor power, is a term too is that
+    prefix times the power when the power's value serves more than
+    once; any other term is a base value of its own.  The (rows, S)
+    work matrix M holds 1, then the base values, one tan each
+    (`_unit`), then the chained terms depth by depth, each one complex
+    multiply of two earlier rows gathered into work arrays, whatever
+    the degrees.  The map returns the (S, terms) matrix of monomials,
+    columns in coeff_matrix(poly) order, in a work buffer that its next
+    call overwrites.  S must not exceed the chunk size, _CHUNK_ENTRIES
+    over the count of terms and the constant 1, so bases that serve
+    chained terms alone add rows but move no chunk boundary.  The plan
+    itself is read-only, so threads may share it: each caller passes
+    its own list as `work`, which the first call fills with chunk-sized
+    work arrays; the work entries returned are their total size.
     """
     power = isinstance(poly, PowerPoly)
     if power:
@@ -332,18 +334,14 @@ def monomial_map(poly):
     depth = {(): 0}
     for alpha in sorted(split, key=len):  # a parent is a shorter prefix
         depth[alpha] = depth[split[alpha][0]] + 1
-    order = sorted(depth, key=lambda alpha: (depth[alpha], alpha))
-    row = {alpha: i for i, alpha in enumerate(order)}
     bases = sorted({base for _, base in split.values()})
-    col = {base: k for k, base in enumerate(bases)}
-    levels = []  # per depth: its rows lo:hi, their parents' rows, their base rows
-    lo = 1
-    for _, level in groupby(order[1:], key=depth.get):
+    chains = sorted((alpha for alpha in split if depth[alpha] > 1), key=lambda alpha: (depth[alpha], alpha))
+    row = {alpha: i for i, alpha in enumerate([(), *bases, *chains])}
+    levels = []  # per depth past the bases: its rows lo:hi, their parents' rows, their base rows
+    for _, level in groupby(chains, key=depth.get):
         level = list(level)
-        ups = np.array([row[split[alpha][0]] for alpha in level], dtype=np.intp)
-        cols = np.array([col[split[alpha][1]] for alpha in level], dtype=np.intp)
-        levels.append((lo, lo + len(level), ups, cols))
-        lo += len(level)
+        ups, downs = np.array([[row[part] for part in split[alpha]] for alpha in level], dtype=np.intp).T.copy()
+        levels.append((row[level[0]], row[level[-1]] + 1, ups, downs))
     columns = np.array([row[alpha] for alpha in support], dtype=np.intp)
     if power:
         A = np.zeros((len(bases), poly.width))  # base phases are A theta
@@ -354,32 +352,30 @@ def monomial_map(poly):
     else:
         neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
         phases = lambda t, out: np.multiply.outer(neg_logs, t, out=out)
-    widest = max((hi - lo for lo, hi, _, _ in levels), default=0)
-    rows, terms, k = len(order), len(columns), len(bases)
-    chunk = max(1, _CHUNK_ENTRIES // rows)
-    # entries per point of each work array: phases, tan work (both float), M, base, parents, factors, picked and E
-    sizes = (k, k, rows, k, widest, widest, terms, terms)
+    k, terms, widest = len(bases), len(columns), max((hi - lo for lo, hi, _, _ in levels), default=0)
+    chunk = max(1, _CHUNK_ENTRIES // len(members | {()}))
+    # entries per point of each work array: phases, tan work (both float), M, parents, factors and E
+    sizes = (k, k, len(row), widest, widest, terms)
 
     def monomials(points: np.ndarray, work: list) -> np.ndarray:
         S = points.shape[0]
         if not work:  # chunk-sized arrays; fewer points use the front of each
             work.extend(np.empty(n * chunk) for n in sizes[:2])
             work.extend(np.empty(n * chunk, dtype=np.complex128) for n in sizes[2:])
-        phase, tmp, M, base, parents, factors, picked, E = (w[: n * S].reshape(n, S) for w, n in zip(work, sizes))
+        phase, tmp, M, parents, factors, E = (w[: n * S].reshape(n, S) for w, n in zip(work, sizes))
         E = E.reshape(S, terms)
         phases(points, phase)
         # not a complex exp: on x86 its loop runs tenfold slower after a BLAS
         # call that leaves the upper halves of the vector registers dirty
-        _unit(phase, tmp, base)
+        _unit(phase, tmp, M[1 : 1 + k])
         M[0] = 1.0
         # mode="clip" lets take write straight into out; the rows are valid by construction
-        for lo, hi, ups, cols in levels:
+        for lo, hi, ups, downs in levels:
             np.take(M, ups, axis=0, out=parents[: hi - lo], mode="clip")
-            np.take(base, cols, axis=0, out=factors[: hi - lo], mode="clip")
+            np.take(M, downs, axis=0, out=factors[: hi - lo], mode="clip")
             np.multiply(parents[: hi - lo], factors[: hi - lo], out=M[lo:hi])
         # C order, so the coefficient matmul runs as it does on direct monomials
-        np.take(M, columns, axis=0, out=picked, mode="clip")
-        np.copyto(E, picked.T)
+        np.take(M.T, columns, axis=1, out=E, mode="clip")
         return E
 
     return chunk, sum(sizes) * chunk, monomials

@@ -296,6 +296,15 @@ def test_cayley_check(tmp_path):
     assert doc["roundtrip_max_gap"] <= 1e-12
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_cayley_check_without_trials_exits_2(tmp_path, capsys, trials):
+    # a self-test that runs no round trip checks nothing, so it is bad input, not "ok"
+    out = tmp_path / "cayley.json"
+    assert run_spec("cayley-check", str(out), trials=trials, seed=0) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stdout_when_no_out(capsys):
     code = run_spec("gallery", None, name="zeta_shift", size=3, seed=0, sigma=0.51)
     assert code == 0

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -397,6 +398,87 @@ def test_multiplicative_kernel_exact_at_zero(rng):
     P = bohr_lift(random_dirichlet(rng, max_index=3000, max_terms=30, dim=2))
     theta = np.zeros((7, P.width))
     assert np.array_equal(power_values_at_angles(P, theta), direct_values(P, theta))
+
+
+def term_major_monomials(poly, points):
+    """The kernel with every term a row of its own: a term that is a base value is 1 times
+    that value, and the (S, terms) matrix is a C-order copy of the transposed pick of rows."""
+    power = isinstance(poly, PowerPoly)
+    if power:
+        support = [alpha.pairs for alpha in poly.indices()]
+    else:
+        primes = series.primes_up_to(min(math.isqrt(poly.max_index), series._TRIAL_PRIMES))
+        support = [series.trial_factors(n, primes) for n in poly.indices()]
+    members = set(support)
+    chained = [alpha for alpha in support if len(alpha) > 1 and alpha[:-1] in members]
+    uses = Counter(alpha[-1:] for alpha in chained) + Counter(alpha for alpha in support if len(alpha) == 1)
+    split = {alpha: ((), alpha) for alpha in support if alpha}
+    split.update({alpha: (alpha[:-1], alpha[-1:]) for alpha in chained if uses[alpha[-1:]] > 1})
+    bases = sorted({base for _, base in split.values()})
+    S = points.shape[0]
+    phase, tmp = np.empty((2, len(bases), S))
+    if power:
+        A = np.zeros((len(bases), poly.width))
+        for k, base in enumerate(bases):
+            for pos, e in base:
+                A[k, pos] = e
+        np.matmul(A, points.T, out=phase)
+    else:
+        neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
+        np.multiply.outer(neg_logs, points, out=phase)
+    values = np.empty((len(bases), S), dtype=np.complex128)
+    series._unit(phase, tmp, values)
+    rows = {(): np.ones(S, dtype=np.complex128)}
+    for alpha in sorted(split, key=len):  # a parent is a shorter prefix
+        parent, base = split[alpha]
+        rows[alpha] = rows[parent] * values[bases.index(base)]
+    picked = np.array([rows[alpha] for alpha in support])
+    E = np.empty((S, len(support)), dtype=np.complex128)
+    np.copyto(E, picked.T)
+    return E
+
+
+def chained_power_poly():
+    """Terms on z_0, z_1, z_2 with chains three deep, helper bases z_1^2 and z_2, and a constant."""
+    pairs = [(), ((0, 1),), ((0, 2),), ((0, 1), (1, 2)), ((0, 2), (1, 2)), ((0, 1), (1, 2), (2, 1))]
+    pairs += [((0, 2), (1, 2), (2, 1)), ((1, 3),), ((1, 3), (2, 1)), ((0, 1), (2, 5)), ((0, 2), (2, 5))]
+    return PowerPoly({MultiIndex.from_pairs(a): complex(1 + i, -i) for i, a in enumerate(pairs)}, CoeffSpace(1))
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        chained_power_poly(),
+        bohr_lift(gallery("zeta_shift", 700)),
+        gallery("zeta_shift", 700),
+        DirichletPoly({n: 1.0 for n in (1, 4, 9, 12, 27, 36, 108, 65537 * 3, 65537 * 9, 2**40 * 3)}),
+    ],
+    ids=["chained power", "zeta lift", "zeta line", "huge factors line"],
+)
+def test_base_values_as_rows_give_the_term_major_monomials_bit_for_bit(rng, poly):
+    # bases stand in the work matrix as they are, and every monomial has the bits of the
+    # term-major formulation, at a full and at a short last chunk
+    chunk, _, monomials = series.monomial_map(poly)
+    constant = EMPTY_INDEX if isinstance(poly, PowerPoly) else 1
+    assert chunk == series._CHUNK_ENTRIES // (len(poly) + (constant not in poly))
+    if isinstance(poly, PowerPoly):
+        points = np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=(chunk, poly.width)))
+    else:
+        points = rng.uniform(-1e4, 1e4, size=chunk)
+    work = []
+    for S in (chunk, chunk // 3 + 1):
+        E = monomials(points[:S], work)
+        assert E.flags.c_contiguous and E.shape == (S, len(poly))
+        assert np.array_equal(E.view(np.uint64), term_major_monomials(poly, points[:S]).view(np.uint64))
+
+
+def test_helper_bases_add_rows_but_keep_the_chunk():
+    P = chained_power_poly()
+    chunk, work_entries, _ = series.monomial_map(P)
+    assert chunk == series._CHUNK_ENTRIES // len(P)  # the constant is a term here
+    # phases and tan work for 8 bases, then M: the constant, 8 bases and 5 chained terms;
+    # parents and factors for the widest level (3 terms), and E
+    assert work_entries == (8 + 8 + 14 + 3 + 3 + len(P)) * chunk
 
 
 def grid_nodes(R, T):

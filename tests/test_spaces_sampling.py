@@ -17,6 +17,7 @@ from bohrlift import (
     pairwise_sum,
     torus_angles,
 )
+from bohrlift import sampling
 from bohrlift.sampling import KRONECKER_SPAN, angle_rows, point_blocks, time_rows
 from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
 
@@ -309,3 +310,14 @@ def test_pairwise_sum_matches_recursive_definition_bit_for_bit():
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
         assert pairwise_sum(x) == recursive_pairwise_sum(x), n
     assert math.copysign(1.0, pairwise_sum(np.full(130, -0.0))) == 1.0
+
+
+def test_pairwise_sum_tree_kept_per_length_gives_the_same_bits():
+    # each length keeps its own tree: interleaved lengths, and a length met again, sum as defined
+    rng = np.random.default_rng(9)
+    for n in (20_000, 7, 200_000, 20_000):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+        before = x.copy()
+        assert pairwise_sum(x) == recursive_pairwise_sum(x), n
+        assert np.array_equal(x, before)  # the input is only read
+    assert sampling._tree.cache_info().maxsize is not None
