@@ -30,7 +30,7 @@ import numpy as np
 
 from .gallery import gallery
 from .multiindex import EMPTY_INDEX, MultiIndex
-from .norms import NormEstimate, norm_h2_exact, norm_hinf_grid, norm_hp_rows
+from .norms import NormEstimate, check_count, norm_h2_exact, norm_hinf_grid, norm_hp_rows
 from .sampling import SamplerConfig
 from .series import PowerPoly, bohr_lift, power_eval, restrict
 from .spaces import SCALAR, vector_norm
@@ -224,8 +224,10 @@ def unit_direction_family(cap: int | None = None) -> Callable[[int], PowerPoly]:
 
     f_m is the sum of the first min(m, cap) coordinate functions, with
     exact H_2 norm sqrt(min(m, cap)): bounded when capped, growing like
-    sqrt(m) when not.
+    sqrt(m) when not.  A negative cap has no meaning and is refused.
     """
+    if cap is not None:
+        check_count(cap, "cap", 0)
     return lambda m: PowerPoly(
         {MultiIndex.unit(k): 1.0 for k in range(m if cap is None else min(m, cap))}, SCALAR
     )

@@ -310,7 +310,10 @@ def lattice_value_chunks(P: PowerPoly, grid: int):
     block then contracts the other axes for as many leading-axis slices
     as fit in _CHUNK_ENTRIES values.  A slice too large alone is scanned
     as the lattice of the other m - 1 coordinates, so no block holds
-    more than _CHUNK_ENTRIES values, whatever the lattice size.
+    more than _CHUNK_ENTRIES values, whatever the lattice size.  A
+    tensor too large itself is never built: the leading coordinate is
+    then scanned node by node from the terms, each node's terms being a
+    polynomial in the other coordinates, scanned the same way.
     """
     m = P.width
     if m == 0:  # the one-point lattice
@@ -320,10 +323,20 @@ def lattice_value_chunks(P: PowerPoly, grid: int):
     for i, alpha in enumerate(P.indices()):
         for pos, e in alpha.pairs:
             folded[i, pos] = e % grid
-    shape = tuple(int(d) + 1 for d in folded.max(axis=0))
-    T = np.zeros(shape + (P.space.dim,), dtype=np.complex128)
-    np.add.at(T, tuple(folded.T), coeff_matrix(P))  # folded terms may share a cell
-    yield from _tensor_value_chunks(T, [_axis_table(grid, n) for n in shape])
+    tables = [_axis_table(grid, int(d) + 1) for d in folded.max(axis=0)]
+    yield from _term_value_chunks(folded, coeff_matrix(P), tables)
+
+
+def _term_value_chunks(folded: np.ndarray, C: np.ndarray, tables: list):
+    """The blocks of `lattice_value_chunks` for terms with folded exponents (terms, m) and coefficients C (terms, dim)."""
+    shape = tuple(t.shape[1] for t in tables)
+    if len(tables) > 1 and math.prod(shape) * C.shape[1] > _CHUNK_ENTRIES:
+        for row in tables[0]:  # at this node of the leading coordinate, a polynomial in the others
+            yield from _term_value_chunks(folded[:, 1:], C * row[folded[:, 0], None], tables[1:])
+        return
+    T = np.zeros(shape + (C.shape[1],), dtype=np.complex128)
+    np.add.at(T, tuple(folded.T), C)  # folded terms may share a cell
+    yield from _tensor_value_chunks(T, tables)
 
 
 def _tensor_value_chunks(T: np.ndarray, tables: list):

@@ -190,47 +190,13 @@ def factorize(n: int) -> MultiIndex:
 
 
 def factorize_all(ns: list[int]) -> list[MultiIndex]:
-    """[factorize(n) for n in ns], with the n the factor table covers factored together.
+    """[factorize(n) for n in ns], with the factor table first grown once to the largest n under the cap.
 
-    Those walk the smallest-prime-factor chain as one vector per round
-    (one round per prime factor counted with multiplicity); every other
-    n, past the table or invalid, takes the scalar `factorize`.
+    Growing it n by n instead would double it again and again.
     """
     cap = _size_cap()
-    top = max((n for n in ns if n <= cap), default=1)
-    if top > _limit:
-        _grow(top)
-    spf, prime_array = _spf, _prime_array  # read after the growth: both cover top, and every position of spf
-    out: list = [None] * len(ns)
-    batch = []
-    for i, n in enumerate(ns):
-        if 1 < n <= top:
-            batch.append(i)
-        else:
-            out[i] = factorize(n)
-    if not batch:
-        return out
-    rest = np.array([ns[i] for i in batch], dtype=np.int64)
-    term = np.arange(len(batch))
-    terms, positions = [], []
-    while rest.size:  # rounds yield the positions of each term's prime factors in increasing order
-        pos = spf[rest]
-        terms.append(term)
-        positions.append(pos)
-        rest //= prime_array[pos]
-        live = rest > 1
-        rest, term = rest[live], term[live]
-    term = np.concatenate(terms)
-    order = np.argsort(term, kind="stable")
-    term, pos = term[order], np.concatenate(positions)[order]
-    # one pair per run of equal (term, position): the position and the run length
-    starts = np.flatnonzero(np.r_[True, (term[1:] != term[:-1]) | (pos[1:] != pos[:-1])])
-    exps = np.diff(np.r_[starts, term.size])
-    pairs = list(zip(pos[starts].tolist(), exps.tolist()))
-    bounds = np.flatnonzero(np.r_[True, term[starts][1:] != term[starts][:-1], True]).tolist()
-    for i, lo, hi in zip(batch, bounds, bounds[1:]):
-        out[i] = MultiIndex._trusted(tuple(pairs[lo:hi]))
-    return out
+    _grow(max((n for n in ns if n <= cap), default=1))
+    return [factorize(n) for n in ns]
 
 
 def index_of(alpha: MultiIndex) -> int:

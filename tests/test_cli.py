@@ -305,6 +305,18 @@ def test_cayley_check_without_trials_exits_2(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+def test_criterion_with_a_negative_cap_exits_2(tmp_path, capsys):
+    # a capped family of -1 directions has no meaning; it used to print a table of zeros
+    out = tmp_path / "crit.json"
+    code = run_spec(
+        "criterion", str(out), family="unit-directions-capped", size=-1, p="2",
+        m_max=3, grid=8, samples=100, seed=0, scheme="iid",
+    )
+    assert code == 2
+    assert "cap must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stdout_when_no_out(capsys):
     code = run_spec("gallery", None, name="zeta_shift", size=3, seed=0, sigma=0.51)
     assert code == 0

@@ -556,6 +556,19 @@ def test_lattice_scan_of_a_six_prime_polynomial_stays_small():
     assert peak <= 8 * 2**20
 
 
+def test_lattice_scan_never_builds_a_coefficient_box_past_the_chunk():
+    # 1 + z_0^15 + ... + z_4^15 at G = 16: the folded degree box is 16^5 entries (16 MiB)
+    P = PowerPoly({EMPTY_INDEX: 1.0, **{MultiIndex((0,) * j + (15,)): 1.0 for j in range(5)}})
+    tracemalloc.start()
+    try:
+        est = norm_hinf_grid(P, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.value, est.samples) == (6.0, 16**5)
+    assert peak <= 8 * 2**20
+
+
 @pytest.mark.parametrize("G", [1, 3, 16])
 def test_lattice_scan_runs_on_the_used_coordinates(G):
     # 97 is the 25th prime: the lift has width 25 but one used coordinate

@@ -132,6 +132,14 @@ def test_batch_factorization_matches_the_scalar_walk(monkeypatch):
         assert index_of(factorize(n)) == n
 
 
+def test_batch_factorization_grows_the_table_once(monkeypatch):
+    # one growth to the largest n; doubling the table n by n would stop at a power of two
+    _fresh_table(monkeypatch)
+    ns = list(range(1, 300_001))
+    assert len(factorize_all(ns)) == len(ns)
+    assert sieve_limit() == 300_000
+
+
 def test_large_prime_factor_stays_sparse():
     # 2 * 999983 has a huge largest prime factor; pairs stay short
     alpha = factorize(2 * 999983)
