@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,28 +156,6 @@ def _worker_count() -> int:
 _WORK_BUDGET = 24 * _CHUNK_ENTRIES  # work-array entries of all Monte Carlo workers together, whatever the CPU count
 
 
-def _in_parallel(task, parts) -> None:
-    """task(part) for every part, the first in this thread and each other in its own; raises after the join."""
-    errors = []
-
-    def guarded(part):
-        try:
-            task(part)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(part,)) for part in parts[1:]]
-    for thread in threads:
-        thread.start()
-    try:
-        task(parts[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[NormEstimate]]:
     """Monte Carlo H_p estimates, at every p in ps, of each weighted polynomial sum_i w_i a_i z^alpha_i.
 
@@ -190,17 +167,19 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     otherwise the lift (`factorize_all`) is packed onto the k coordinates
     its support uses (`series.pack`), the others integrating out, and is
     evaluated at angles drawn at its positions `active`, each from its
-    own stream (`sampling.point_blocks`).  The chunks are
-    split into contiguous shares, one per CPU (`_worker_count`) while
-    the workers' work arrays fit _WORK_BUDGET.  Each worker starts its
-    streams once, at the first row of its share, draws them in blocks
-    of about _CHUNK_ENTRIES doubles into a coordinate-major (k, rows)
-    array, which the kernel reads chunk by chunk in place, and reduces
-    each chunk's values to norms, one weight row at a time.  Neither
-    chunks nor streams depend on the split, so no value does.  A row
-    whose weights vanish off the constant term (n = 1, or the empty
-    index) gets its exact norm (every H_p norm of a constant is the
-    coefficient norm), with no samples.
+    own stream (`sampling.point_blocks`).  The chunks are split into
+    contiguous shares, one per CPU (`_worker_count`) while the workers'
+    work arrays fit _WORK_BUDGET; the first share runs in this thread
+    and the others on a standard-library thread pool, whose exceptions
+    are raised here after every thread has joined.  Each worker starts
+    its streams once, at the first row of its share, draws one chunk at
+    a time, evaluates it, and writes that chunk's norm for every weight
+    row from the row-contiguous (rows, terms, dim) weighted stack, so a
+    stacked row gives the bits of the same row estimated alone.
+    Neither chunks nor streams depend on the split, so no value does.
+    A row whose weights vanish off the constant term (n = 1, or the
+    empty index) gets its exact norm (every H_p norm of a constant is
+    the coefficient norm), with no samples.
     """
     ps = [float(p) for p in ps]
     for p in ps:
@@ -219,29 +198,28 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
         lifted = factorize_all(keys) if dirichlet else keys
         active, target = series.pack(PowerPoly._moved({alpha: poly[key] for alpha, key in zip(lifted, keys)}, poly.space))
         order = sorted(range(len(keys)), key=lambda i: lifted[i].order_key())  # target's term order: pack keeps the lift's
-    stack = weights[moving][:, order, None] * C[order]  # (rows, terms, dim), in target's term order
+    # (rows, terms, dim) in target's term order; each row C-contiguous, so a stacked row takes its unit row's dot kernel
+    stack = np.ascontiguousarray(weights[moving][:, order])[:, :, None] * C[order]
     S = cfg.samples
     chunk, work_entries, monomials = series.monomial_map(target)
-    k = 1 if active is None else len(active)  # streams drawn; the flow times are one
-    step = chunk * max(1, _CHUNK_ENTRIES // (chunk * k))  # rows per draw: whole chunks, about _CHUNK_ENTRIES doubles
     x = np.empty((len(stack), S))
 
     def share(starts):
-        first = starts[0]
-        blocks = point_blocks(cfg, active, first, min(starts[-1] + chunk, S), step)
-        work, values = [], np.empty((min(chunk, S), poly.space.dim), dtype=np.complex128)
-        for lo in starts:
-            if (lo - first) % step == 0:
-                block, head = next(blocks), lo
-            E = monomials(block[..., lo - head : lo - head + chunk].T, work)
-            v = values[: E.shape[0]]
+        work = []
+        for lo, block in zip(starts, point_blocks(cfg, active, starts[0], min(starts[-1] + chunk, S), chunk)):
+            E = monomials(block.T, work)
             for row, c in zip(x, stack):
-                np.matmul(E, c, out=v)
-                row[lo : lo + len(v)] = row_norms(v, poly.space)
+                row[lo : lo + len(E)] = row_norms(E @ c, poly.space)
 
     starts = range(0, S, chunk)
     n = min(_worker_count(), len(starts), max(1, _WORK_BUDGET // work_entries))
-    _in_parallel(share, [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)])
+    shares = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging, 6 ms of `import bohrlift`
+    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # threads start on submit: one share starts none
+        futures = [pool.submit(share, part) for part in shares[1:]]
+        share(shares[0])
+    for future in futures:
+        future.result()
     for r, norms in zip(np.flatnonzero(moving), x):
         out[r] = [mc_estimate(norms, p, cfg) for p in ps]
     return out

@@ -159,8 +159,9 @@ def factorize(n: int) -> MultiIndex:
         pairs = []
         spf, primes = _spf, _primes  # in this order, the reverse of _grow's installs
         while n > 1:
-            pos, e = spf.item(n), 0
+            pos = spf.item(n)
             p = primes[pos]
+            n, e = n // p, 1  # p divides n: count the further divisions
             while n % p == 0:
                 n //= p
                 e += 1

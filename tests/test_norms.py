@@ -364,10 +364,12 @@ def test_seeded_outputs_do_not_depend_on_the_worker_count(monkeypatch, scheme, s
     serial = seeded_outputs(cfg)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more workers than cores, switching often: a misplaced write would show
+    before = threading.active_count()
     try:
         for workers in (2, 3):
             monkeypatch.setattr(norms, "_worker_count", lambda: workers)
             assert seeded_outputs(cfg) == serial
+            assert threading.active_count() == before  # no worker outlives a successful pass
     finally:
         sys.setswitchinterval(interval)
     # and every split reads the plain evaluation at the whole-sample draw
@@ -396,6 +398,22 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="worker failed"):
         norm_hp_mc(PARALLEL, 4.0, SamplerConfig(3 * PARALLEL_CHUNK, 0))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("D", [gallery("zeta_shift", 16), PARALLEL], ids=["scalar", "C2"])
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+@pytest.mark.parametrize("samples", ["one", "chunk + 1", "20,000"])
+def test_a_stacked_weight_row_is_its_unit_row(D, scheme, samples):
+    # a row's estimate depends on its weights alone, not on the rows stacked with it
+    samples = {"one": 1, "chunk + 1": series.monomial_map(bohr_lift(D))[0] + 1, "20,000": 20_000}[samples]
+    cfg = SamplerConfig(samples, 3, scheme)
+    n = np.array(D.indices(), dtype=float)
+    W = np.stack([1.0 / n, (n <= 4).astype(float), np.ones_like(n)])
+    stacked = norms.norm_hp_rows(D, 4.0, W, cfg)
+    for r, est in enumerate(stacked):
+        alone = norms.norm_hp_rows(D, 4.0, W[r : r + 1], cfg)[0]
+        assert (est.value.hex(), est.std_error.hex()) == (alone.value.hex(), alone.std_error.hex())
+        assert est == alone
 
 
 def test_mc_memory_follows_the_chunk_not_the_samples(monkeypatch):
