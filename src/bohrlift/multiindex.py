@@ -115,7 +115,8 @@ class MultiIndex:
         return bool(self._pairs)
 
     def __repr__(self) -> str:
-        return f"MultiIndex({self.exponents!r})"
+        # the pairs, not the dense tuple: its length is the last prime position, not the support size
+        return f"MultiIndex.from_pairs({self._pairs!r})"
 
 
 EMPTY_INDEX = MultiIndex()

@@ -33,6 +33,7 @@ from .sampling import (
     pairwise_mean,
     pairwise_sum,
     point_blocks,
+    stream_seeds,
 )
 from .series import (
     _CHUNK_ENTRIES,
@@ -153,7 +154,10 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_WORK_BUDGET = 24 * _CHUNK_ENTRIES  # work-array entries of all Monte Carlo workers together, whatever the CPU count
+_WORK_BUDGET = 24 * _CHUNK_ENTRIES  # work-array and draw entries of all Monte Carlo workers together, whatever the CPU count
+
+#: Chunks of points a Monte Carlo worker draws per random() call of each stream.
+_DRAW_CHUNKS = 3
 
 
 def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[NormEstimate]]:
@@ -167,16 +171,23 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     otherwise the lift (`factorize_all`) is packed onto the k coordinates
     its support uses (`series.pack`), the others integrating out, and is
     evaluated at angles drawn at its positions `active`, each from its
-    own stream (`sampling.point_blocks`).  The chunks are split into
-    contiguous shares, one per CPU (`_worker_count`) while the workers'
-    work arrays fit _WORK_BUDGET; the first share runs in this thread
-    and the others on a standard-library thread pool, whose exceptions
-    are raised here after every thread has joined.  Each worker starts
-    its streams once, at the first row of its share, draws one chunk at
-    a time, evaluates it, and writes that chunk's norm for every weight
-    row from the row-contiguous (rows, terms, dim) weighted stack, so a
-    stacked row gives the bits of the same row estimated alone.
-    Neither chunks nor streams depend on the split, so no value does.
+    own stream (`sampling.point_blocks`), whose seed sequences are built
+    once here (`sampling.stream_seeds`).
+
+    The chunks are split into contiguous shares, one per CPU
+    (`_worker_count`) while the workers' work arrays and draw blocks fit
+    _WORK_BUDGET; the first share runs in this thread and the others on
+    a standard-library thread pool, whose exceptions are raised here
+    after every thread has joined.  Each worker takes a workspace from
+    the free list (`series.workspace`) for its kernel arrays and its
+    draw block, and gives it back after its share.  It starts its
+    streams once, at the first row of its share, draws _DRAW_CHUNKS
+    chunks per block, coordinate-major, evaluates each chunk-wide column
+    view of the block (transposed: column-major angles, as the plan
+    reads them), and writes that chunk's norm for every weight row from
+    the row-contiguous (rows, terms, dim) weighted stack, so a stacked
+    row gives the bits of the same row estimated alone.  Neither chunks
+    nor streams depend on the split or the draw block, so no value does.
     A row whose weights vanish off the constant term (n = 1, or the
     empty index) gets its exact norm (every H_p norm of a constant is
     the coefficient norm), with no samples.
@@ -202,17 +213,23 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     stack = np.ascontiguousarray(weights[moving][:, order])[:, :, None] * C[order]
     S = cfg.samples
     chunk, work_entries, monomials = series.monomial_map(target)
+    seeds = stream_seeds(cfg, active)
+    step = _DRAW_CHUNKS * chunk
     x = np.empty((len(stack), S))
 
     def share(starts):
-        work = []
-        for lo, block in zip(starts, point_blocks(cfg, active, starts[0], min(starts[-1] + chunk, S), chunk)):
-            E = monomials(block.T, work)
-            for row, c in zip(x, stack):
-                row[lo : lo + len(E)] = row_norms(E @ c, poly.space)
+        lo, hi = starts[0], min(starts[-1] + chunk, S)
+        with series.workspace() as work:
+            (buf,) = series._work_views(work, 2, np.float64, [len(seeds)], min(step, hi - lo), step)
+            for at, block in zip(range(lo, hi, step), point_blocks(cfg, active, lo, hi, step, seeds, buf)):
+                for a in range(0, block.shape[-1], chunk):
+                    E = monomials(block[..., a : a + chunk].T, work)
+                    for row, c in zip(x, stack):
+                        row[at + a : at + a + len(E)] = row_norms(E @ c, poly.space)
 
     starts = range(0, S, chunk)
-    n = min(_worker_count(), len(starts), max(1, _WORK_BUDGET // work_entries))
+    draw_entries = (1 if active is None else len(active)) * step  # iid streams, or the flow's angles
+    n = min(_worker_count(), len(starts), max(1, _WORK_BUDGET // (work_entries + draw_entries)))
     shares = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
     from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging, 6 ms of `import bohrlift`
     with ThreadPoolExecutor(max(1, n - 1)) as pool:  # threads start on submit: one share starts none

@@ -10,8 +10,9 @@ Two sampling schemes target the same Haar average over T^m:
 
 Each iid coordinate j has a stream of its own, ``default_rng([seed, j])``,
 and the Kronecker flow times are the stream of ``default_rng(seed)``.  An
-estimate draws only the coordinates its polynomial uses, each stream
-started once per row range at its first double (``PCG64.advance``), and
+estimate draws only the coordinates its polynomial uses, their seed
+sequences built once per estimate, each stream started once per row
+range at its first double (``PCG64.advance``), and
 all means are reduced over a fixed pairwise tree on the sample index, so
 a given (samples, seed, scheme) triple reproduces bit-for-bit no matter
 how the work is split or scheduled.
@@ -71,7 +72,18 @@ def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     return angle_rows(cfg, range(m), 0, cfg.samples)
 
 
-def point_blocks(cfg: SamplerConfig, positions, lo: int, hi: int, step: int):
+def stream_seeds(cfg: SamplerConfig, positions) -> list:
+    """The SeedSequence of each stream `point_blocks` draws at `positions`, built once per pass and shared by its threads.
+
+    Under the iid scheme coordinate j's is SeedSequence([seed, j]);
+    otherwise (positions None, or Kronecker angles) the one stream is
+    SeedSequence(seed).  PCG64 reads a sequence without changing it.
+    """
+    iid = positions is not None and cfg.scheme != KRONECKER_QMC
+    return [np.random.SeedSequence([cfg.seed, j]) for j in positions] if iid else [np.random.SeedSequence(cfg.seed)]
+
+
+def point_blocks(cfg: SamplerConfig, positions, lo: int, hi: int, step: int, seeds=None, out=None):
     """Rows [lo, hi) of the sample points, `step` rows at a time; a block holds only until the next is drawn.
 
     With positions None the points are the Kronecker flow times,
@@ -83,15 +95,20 @@ def point_blocks(cfg: SamplerConfig, positions, lo: int, hi: int, step: int):
     one stream per coordinate, so a coordinate's angles do not depend on
     which others are drawn, and default_rng([seed, 0]) is
     default_rng(seed).  Each stream is started once, at row lo, by
-    PCG64.advance.
+    PCG64.advance, from `seeds` (stream_seeds(cfg, positions), built
+    here when not given), and fills `step` rows of its buffer row per
+    random() call: a caller that evaluates a chunk at a time may draw
+    several chunks per block, which gives the same doubles.  The blocks
+    are drawn into `out`, a (streams, min(step, hi - lo)) float array,
+    or into a new one.
     """
     iid = positions is not None and cfg.scheme != KRONECKER_QMC
-    seeds = [[cfg.seed, j] for j in positions] if iid else [cfg.seed]
     # default_rng(seed) past its first lo doubles: random() takes one 64-bit output per double
-    streams = [np.random.Generator(np.random.PCG64(seed).advance(lo)) for seed in seeds]
+    seeds = stream_seeds(cfg, positions) if seeds is None else seeds
+    streams = [np.random.Generator(np.random.PCG64(seq).advance(lo)) for seq in seeds]
     if positions is not None and not iid:
         neg_logs = -np.array([[math.log(nth_prime(j))] for j in positions])
-    buf = np.empty((len(streams), min(step, hi - lo)))
+    buf = np.empty((len(streams), min(step, hi - lo))) if out is None else out
     for a in range(lo, hi, step):
         block = buf[:, : min(step, hi - a)]
         for stream, row in zip(streams, block):

@@ -16,7 +16,10 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
+from contextlib import contextmanager
 from itertools import groupby
 from typing import Iterable, Mapping
 
@@ -272,25 +275,70 @@ def coeff_matrix(poly) -> np.ndarray:
     return np.array([poly[k] for k in keys], dtype=np.complex128)
 
 
-def _unit(phase: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """out = exp(i phase) from t = tan(phase / 2): cos = 2/(1 + t^2) - 1 and sin = 2t/(1 + t^2).
+def _unit_from_half(half: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """out = exp(2i half) from t = tan(half): cos = 2/(1 + t^2) - 1 and sin = 2t/(1 + t^2).
 
-    phase and tmp are float arrays of out's shape; phase is overwritten
-    (with t) and tmp is work space.  One vectorized tan and six
-    arithmetic passes cost about a seventh of a cos and a sin, which
-    numpy 2.4 runs as scalar loops on x86-64.  On phases up to
-    1.5e7 each part stays within 3.4e-16 of np.cos and np.sin, and |out|
-    within 4.5e-16 of 1.  tan is odd bit for bit (numpy 2.4, x86-64, with
-    and without AVX-512), so negated phases give conjugate values, and
-    a zero phase gives exactly 1.
+    half and tmp are float arrays of out's shape; half is overwritten
+    (with t) and tmp is work space.  Callers scale their phase constants
+    by 0.5, which is exact, so the half phases carry the bits of halved
+    phases.  One vectorized tan and five arithmetic passes cost about a
+    seventh of a cos and a sin, which numpy 2.4 runs as scalar loops on
+    x86-64.  On phases up to 1.5e7 each part stays within 3.4e-16 of
+    np.cos and np.sin, and |out| within 4.5e-16 of 1.  tan is odd bit
+    for bit (numpy 2.4, x86-64, with and without AVX-512), so negated
+    phases give conjugate values, and a zero phase gives exactly 1.
     """
-    np.multiply(phase, 0.5, out=phase)
-    np.tan(phase, out=phase)
-    np.multiply(phase, phase, out=tmp)
+    np.tan(half, out=half)
+    np.multiply(half, half, out=tmp)
     tmp += 1.0
     np.divide(2.0, tmp, out=tmp)
-    np.multiply(phase, tmp, out=out.imag)
+    np.multiply(half, tmp, out=out.imag)
     np.subtract(tmp, 1.0, out=out.real)
+
+
+def _unit(phase: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """out = exp(i phase) by `_unit_from_half` on phase / 2, for callers that hold whole phases; phase is overwritten."""
+    np.multiply(phase, 0.5, out=phase)
+    _unit_from_half(phase, tmp, out)
+
+
+#: Workspaces not in use, each a list of flat work buffers (`_work_views`):
+#: a thread takes one for a pass (`workspace`), and the list keeps at most
+#: one per CPU, so work arrays outlive the call that mapped them.
+_SPARES: list = []
+_SPARES_LOCK = threading.Lock()
+
+
+@contextmanager
+def workspace():
+    """A workspace from the free list (a new empty one when it is empty), given back on exit."""
+    with _SPARES_LOCK:
+        work = _SPARES.pop() if _SPARES else []
+    try:
+        yield work
+    finally:
+        with _SPARES_LOCK:
+            if len(_SPARES) < (os.cpu_count() or 1):
+                _SPARES.append(work)
+
+
+def _work_views(work: list, slot: int, dtype, rows, S: int, capacity: int) -> list:
+    """(n, S) arrays for n in rows, cut one after another from the flat buffer work[slot].
+
+    A buffer too short for the rows at S points is replaced by one that
+    holds them at max(S, capacity) points, so a plan's first call sizes
+    it for all its later ones.  Slot 0 holds the float and slot 1 the
+    complex work of `monomial_map`, slot 2 the Monte Carlo draw.
+    """
+    work.extend([None] * (slot + 1 - len(work)))
+    buf = work[slot]
+    if buf is None or buf.size < sum(rows) * S:
+        buf = work[slot] = np.empty(sum(rows) * max(S, capacity), dtype)
+    views, at = [], 0
+    for n in rows:
+        views.append(buf[at : at + n * S].reshape(n, S))
+        at += n * S
+    return views
 
 
 def monomial_map(poly):
@@ -299,23 +347,30 @@ def monomial_map(poly):
     A monomial is a product of factor powers: z_j^e with z_j =
     exp(i theta_j) at torus angles theta of shape (S, width) for a
     PowerPoly, one column per coordinate, column-major (as a transposed
-    `sampling.point_blocks` block or a fancy pick lays them out), and
-    (b^e)^{-it} over the factors b^e of n (`trial_factors`) at line
-    times t of shape (S,) for a DirichletPoly.  A term whose prefix,
-    the term without its last factor power, is a term too is that
-    prefix times the power when the power's value serves more than
-    once; any other term is a base value of its own.  The (rows, S)
-    work matrix M holds 1, then the base values, one tan each
-    (`_unit`), then the chained terms depth by depth, each one complex
-    multiply of two earlier rows gathered into work arrays, whatever
-    the degrees.  The map returns the (S, terms) matrix of monomials,
-    columns in coeff_matrix(poly) order, in a work buffer that its next
-    call overwrites.  S must not exceed the chunk size, _CHUNK_ENTRIES
-    over the count of terms and the constant 1, so bases that serve
-    chained terms alone add rows but move no chunk boundary.  The plan
-    itself is read-only, so threads may share it: each caller passes
-    its own list as `work`, which the first call fills with chunk-sized
-    work arrays; the work entries returned are their total size.
+    `sampling.point_blocks` block, a chunk-wide column view of one, or a
+    fancy pick lays them out), and (b^e)^{-it} over the factors b^e of n
+    (`trial_factors`) at line times t of shape (S,) for a DirichletPoly.
+    A term whose prefix, the term without its last factor power, is a
+    term too is that prefix times the power when the power's value
+    serves more than once; any other term is a base value of its own.
+    The (rows, S) work matrix M holds 1, then the base values, one tan
+    each (`_unit_from_half`, on half phases from halved constants), then
+    the chained terms depth by depth, each one complex multiply of two
+    earlier rows gathered into work arrays, whatever the degrees.
+
+    The map returns the (S, terms) matrix of monomials, columns in
+    coeff_matrix(poly) order, in a work buffer that its next call
+    overwrites.  With vector coefficients (dim >= 2) it is the
+    F-order view of a row gather of M, whose coefficient product numpy
+    runs as gemm, with the bits of the C-order copy; with scalar ones it
+    is that C-order copy, since gemv sums differently on the two
+    layouts.  S must not exceed the chunk size, _CHUNK_ENTRIES over the
+    count of terms and the constant 1, so bases that serve chained terms
+    alone add rows but move no chunk boundary.  The plan itself is
+    read-only, so threads may share it: each caller passes its own
+    workspace, a list (see `workspace`) whose flat buffers the map
+    carves into its work arrays, growing them on first use to a full
+    chunk; the work entries returned are the arrays' total size.
     """
     power = isinstance(poly, PowerPoly)
     if power:
@@ -343,42 +398,44 @@ def monomial_map(poly):
         ups, downs = np.array([[row[part] for part in split[alpha]] for alpha in level], dtype=np.intp).T.copy()
         levels.append((row[level[0]], row[level[-1]] + 1, ups, downs))
     columns = np.array([row[alpha] for alpha in support], dtype=np.intp)
+    # half phases: scaling by 0.5 is exact, so they are the halved phases bit for bit
     if power:
-        A = np.zeros((len(bases), poly.width))  # base phases are A theta
+        A = np.zeros((len(bases), poly.width))  # base half phases are A theta
         for k, base in enumerate(bases):
             for pos, e in base:
-                A[k, pos] = e
+                A[k, pos] = 0.5 * e
         phases = lambda theta, out: np.matmul(A, theta.T, out=out)
     else:
-        neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
+        neg_logs = -0.5 * np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
         phases = lambda t, out: np.multiply.outer(neg_logs, t, out=out)
     k, terms, widest = len(bases), len(columns), max((hi - lo for lo, hi, _, _ in levels), default=0)
     chunk = max(1, _CHUNK_ENTRIES // len(members | {()}))
-    # entries per point of each work array: phases, tan work (both float), M, parents, factors and E
-    sizes = (k, k, len(row), widest, widest, terms)
+    # rows of each work array: phases and tan work (float), then M, parents, factors and the monomials
+    floats, complexes = (k, k), (len(row), widest, widest, terms)
+    scalar = poly.space.dim == 1
 
     def monomials(points: np.ndarray, work: list) -> np.ndarray:
         S = points.shape[0]
-        if not work:  # chunk-sized arrays; fewer points use the front of each
-            work.extend(np.empty(n * chunk) for n in sizes[:2])
-            work.extend(np.empty(n * chunk, dtype=np.complex128) for n in sizes[2:])
-        phase, tmp, M, parents, factors, E = (w[: n * S].reshape(n, S) for w, n in zip(work, sizes))
-        E = E.reshape(S, terms)
+        phase, tmp = _work_views(work, 0, np.float64, floats, S, chunk)
+        M, parents, factors, E = _work_views(work, 1, np.complex128, complexes, S, chunk)
         phases(points, phase)
         # not a complex exp: on x86 its loop runs tenfold slower after a BLAS
         # call that leaves the upper halves of the vector registers dirty
-        _unit(phase, tmp, M[1 : 1 + k])
+        _unit_from_half(phase, tmp, M[1 : 1 + k])
         M[0] = 1.0
         # mode="clip" lets take write straight into out; the rows are valid by construction
         for lo, hi, ups, downs in levels:
             np.take(M, ups, axis=0, out=parents[: hi - lo], mode="clip")
             np.take(M, downs, axis=0, out=factors[: hi - lo], mode="clip")
             np.multiply(parents[: hi - lo], factors[: hi - lo], out=M[lo:hi])
-        # C order, so the coefficient matmul runs as it does on direct monomials
-        np.take(M.T, columns, axis=1, out=E, mode="clip")
-        return E
+        if scalar:  # the product runs as gemv, whose sums follow the layout: keep the C-order copy
+            E = E.reshape(S, terms)
+            np.take(M.T, columns, axis=1, out=E, mode="clip")
+            return E
+        np.take(M, columns, axis=0, out=E, mode="clip")
+        return E.T
 
-    return chunk, sum(sizes) * chunk, monomials
+    return chunk, (sum(floats) + sum(complexes)) * chunk, monomials
 
 
 def evaluate(poly, points: np.ndarray) -> np.ndarray:
@@ -386,18 +443,18 @@ def evaluate(poly, points: np.ndarray) -> np.ndarray:
 
     A PowerPoly is packed (`pack`), and one plan takes each chunk's angles
     at its used coordinates, picked column-major as `monomial_map` reads
-    them, so work memory follows the chunk, not the point count.  Chunk
-    boundaries depend only on the point and term counts, so seeded runs
-    reproduce exactly.
+    them, in a workspace from the free list, so work memory follows the
+    chunk, not the point count.  Chunk boundaries depend only on the
+    point and term counts, so seeded runs reproduce exactly.
     """
     active, poly = pack(poly) if isinstance(poly, PowerPoly) else (slice(None), poly)
     chunk, _, monomials = monomial_map(poly)
     C = coeff_matrix(poly)
     out = np.empty((points.shape[0], poly.space.dim), dtype=np.complex128)
-    work = []
-    for lo in range(0, points.shape[0], chunk):
-        E = monomials(points[lo : lo + chunk][..., active], work)
-        np.matmul(E, C, out=out[lo : lo + E.shape[0]])
+    with workspace() as work:
+        for lo in range(0, points.shape[0], chunk):
+            E = monomials(points[lo : lo + chunk][..., active], work)
+            np.matmul(E, C, out=out[lo : lo + E.shape[0]])
     return out
 
 
@@ -439,7 +496,7 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
     Q = q_hi - q_lo + 1
     dim = D.space.dim
     out = np.zeros((T, dim), dtype=np.complex128)
-    neg_logs = -np.log(np.array(D.indices(), dtype=np.float64))
+    neg_logs = -0.5 * np.log(np.array(D.indices(), dtype=np.float64))  # half phases, see `_unit_from_half`
     C = coeff_matrix(D)
     j_times = (np.arange(S) - 0.5 * (1 - T % 2)) * h
     q_times = np.arange(q_lo, q_hi + 1) * S * h
@@ -447,7 +504,7 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
     rows = max(1, min(Q, _CHUNK_ENTRIES // (width * dim)))
     W = np.empty((S, width), dtype=np.complex128)
     U = np.empty((Q, width), dtype=np.complex128)
-    # U[q] is the conjugate of U[-q]: tan is odd bit for bit (see `_unit`), and so is qSh log n,
+    # U[q] is the conjugate of U[-q]: tan is odd bit for bit (see `_unit_from_half`), and so is qSh log n,
     # so only the rows q >= 0 and an unpaired q_lo are computed
     mirror = min(-q_lo, q_hi)
     unpaired = -mirror - q_lo
@@ -458,7 +515,7 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
         for table, times in ((W[:, :w], j_times), (U[:unpaired, :w], q_times[:unpaired]), (U[-q_lo:, :w], q_times[-q_lo:])):
             ph = phase[: len(times), :w]
             np.multiply.outer(times, logs, out=ph)
-            _unit(ph, tmp[: len(times), :w], table)
+            _unit_from_half(ph, tmp[: len(times), :w], table)
         np.conjugate(U[mirror - q_lo : -q_lo : -1, :w], out=U[unpaired:-q_lo, :w])
         for qa in range(0, Q, rows):
             qb = min(Q, qa + rows)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlift import EMPTY_INDEX, MultiIndex, bohr_lift, gallery
+from bohrlift import EMPTY_INDEX, MultiIndex, bohr_lift, factorize, gallery
 
 
 def test_empty_index():
@@ -98,3 +98,12 @@ def test_roundtrip_through_pairs(exps):
     assert MultiIndex.from_pairs(a.pairs) == a
     assert MultiIndex(a.exponents) == a
     assert a.degree == sum(exps)
+
+
+def test_repr_follows_the_support_and_evaluates_back():
+    # the pairs, not the dense tuple: 999983 is the 78,498th prime
+    alpha = factorize(999983)
+    assert repr(alpha) == "MultiIndex.from_pairs(((78497, 1),))"
+    for index in (alpha, EMPTY_INDEX, MultiIndex((2, 0, 1)), factorize(2**5 * 3 * 999983)):
+        assert len(repr(index)) < 100
+        assert eval(repr(index)) == index

@@ -416,6 +416,47 @@ def test_a_stacked_weight_row_is_its_unit_row(D, scheme, samples):
         assert est == alone
 
 
+def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
+    # two user threads, each running passes of three workers on 2 CPUs or more, share the
+    # workspace free list: a workspace handed to two threads at once would show here
+    monkeypatch.setattr(norms, "_worker_count", lambda: 3)
+    jobs = [
+        (PARALLEL, 4.0, SamplerConfig(6 * PARALLEL_CHUNK + 7, 1)),
+        (gallery("zeta_shift", 64), 3.0, SamplerConfig(15_000, 2, "kronecker")),
+    ]
+    serial = [norm_hp_mc(*job) for job in jobs]
+    results = [[] for _ in jobs]
+    threads = [threading.Thread(target=lambda job=job, out=out: out.extend(norm_hp_mc(*job) for _ in range(4))) for job, out in zip(jobs, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[est] * 4 for est in serial]
+
+
+@pytest.mark.parametrize("poly", [PARALLEL, bohr_lift(PARALLEL)], ids=["Dirichlet", "lift"])
+@pytest.mark.parametrize("scheme", ["iid", "kronecker"])
+def test_draw_blocks_of_one_chunk_and_of_several_give_the_same_norms(monkeypatch, poly, scheme):
+    # a block of several chunks draws the doubles of as many one-chunk blocks, and each
+    # chunk-wide column view of it is evaluated as a one-chunk block is
+    recorded = []
+    estimate = norms.mc_estimate
+    monkeypatch.setattr(norms, "mc_estimate", lambda x, p, cfg: recorded.append(x.tobytes()) or estimate(x, p, cfg))
+    cfg = SamplerConfig(7 * PARALLEL_CHUNK + 5, 4, scheme)
+    for draw_chunks in (1, 2, 3, 8):
+        monkeypatch.setattr(norms, "_DRAW_CHUNKS", draw_chunks)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(norms, "_worker_count", lambda: workers)
+            norm_hp_mc(poly, 4.0, cfg)
+    assert len(recorded) == 12 and len(set(recorded)) == 1
+
+
 def test_mc_memory_follows_the_chunk_not_the_samples(monkeypatch):
     # width 424 with 24 used coordinates: 200,000 (samples, 24) angles alone would take 37 MiB
     monkeypatch.setattr(norms, "_worker_count", lambda: 16)

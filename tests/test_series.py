@@ -481,6 +481,62 @@ def test_helper_bases_add_rows_but_keep_the_chunk():
     assert work_entries == (8 + 8 + 14 + 3 + 3 + len(P)) * chunk
 
 
+def vector_power_poly(rng, dim, chained):
+    """C^dim coefficients on chained_power_poly's support, or on terms none of which is another's prefix."""
+    if chained:
+        support = [alpha.pairs for alpha in chained_power_poly().indices()]
+    else:
+        support = [((0, 1), (2, 3)), ((1, 2),), ((0, 2), (1, 1)), ((2, 1), (4, 2)), ((3, 5),), ((1, 1), (3, 1), (4, 1))]
+    coeffs = rng.standard_normal((len(support), dim)) + 1j * rng.standard_normal((len(support), dim))
+    return PowerPoly({MultiIndex.from_pairs(a): c for a, c in zip(support, coeffs)}, CoeffSpace(dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("chained", [True, False], ids=["chained", "unchained"])
+def test_vector_monomials_are_a_view_whose_products_keep_the_c_order_bits(rng, dim, chained):
+    # with dim >= 2 the map hands back the F-order view of its row gather; numpy runs the
+    # coefficient products as gemm, whose sums do not depend on the layout
+    poly = vector_power_poly(rng, dim, chained)
+    chunk, _, monomials = series.monomial_map(poly)
+    points = np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=(chunk, poly.width)))
+    C = series.coeff_matrix(poly)
+    n = np.arange(1.0, len(poly) + 1)
+    stack = np.ascontiguousarray(np.stack([np.ones_like(n), 1.0 / n, n % 2]))[:, :, None] * C
+    work = []
+    for S in (chunk, chunk // 3 + 1, 1):
+        E = monomials(points[:S], work)
+        assert E.flags.f_contiguous and E.shape == (S, len(poly))
+        assert E.tobytes() == term_major_monomials(poly, points[:S]).tobytes()
+        c_order = np.ascontiguousarray(E)
+        for c in (C, *stack):
+            assert (E @ c).tobytes() == (c_order @ c).tobytes()
+
+
+def test_a_kept_workspace_serves_larger_and_smaller_plans(monkeypatch, rng):
+    # one thread's workspace carries a plan's arrays into the next plan's call: buffers too
+    # short are replaced, longer ones are cut to size, and no bits depend on what came before
+    polys = [
+        PowerPoly({MultiIndex.from_pairs(((0, 1),)): 1.0, MultiIndex.from_pairs(((1, 2),)): -2.0j}),
+        vector_power_poly(rng, 3, True),
+        chained_power_poly(),
+    ]
+    plans = [series.monomial_map(poly) for poly in polys]
+    points = [np.asfortranarray(rng.uniform(0.0, 2.0 * np.pi, size=(chunk, poly.width))) for poly, (chunk, _, _) in zip(polys, plans)]
+    alone = [monomials(x, []).tobytes() for (_, _, monomials), x in zip(plans, points)]
+    for order in ([0, 1, 2, 1, 0], [2, 1, 0, 1, 2], [0, 2, 0, 2]):
+        work = []
+        for i in order:
+            _, _, monomials = plans[i]
+            assert monomials(points[i], work).tobytes() == alone[i]
+    # and so do the free list's workspaces, passed from one evaluation to the next
+    fresh = []
+    for poly, x in zip(polys, points):
+        monkeypatch.setattr(series, "_SPARES", [])
+        fresh.append(series.evaluate(poly, x).tobytes())
+    for i in (2, 0, 1, 2, 0):
+        assert series.evaluate(polys[i], points[i]).tobytes() == fresh[i]
+
+
 def grid_nodes(R, T):
     h = 2.0 * R / (T - 1)
     return (np.arange(T) - (T - 1) / 2) * h, h
