@@ -194,7 +194,8 @@ def hilbert_criterion(
 
     ``family`` maps m to the restriction f_m and is called once, for
     f_{m_max}; ||f_m|| for m = 1..m_max are read off the restrictions of
-    that one polynomial: lattice sups for p = infinity, else one
+    that one polynomial: lattice sups for p = infinity, one scan per
+    distinct restriction, else one
     `norm_hp_rows` call with the weight rows 1[width(alpha) <= m] (exact
     Parseval for p = 2 with Euclidean coefficients, else Monte Carlo on
     one sample set, every row with cfg.seed).  The verdict is
@@ -209,7 +210,9 @@ def hilbert_criterion(
         raise TypeError(f"family({m_max}) must return a PowerPoly, got {type(P).__name__}")
     ms = range(1, m_max + 1)
     if math.isinf(p):
-        estimates = [norm_hinf_grid(restrict(P, m), grid_per_dim) for m in ms]
+        restrictions = [restrict(P, m) for m in ms]  # nested: two with as many terms are one polynomial, scanned once
+        scans = {len(f): norm_hinf_grid(f, grid_per_dim) for f in {len(f): f for f in restrictions}.values()}
+        estimates = [scans[len(f)] for f in restrictions]
     else:
         widths = np.array([alpha.width for alpha in P.indices()])
         estimates = norm_hp_rows(P, p, np.stack([(widths <= m).astype(np.float64) for m in ms]), cfg)

@@ -154,10 +154,20 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-_WORK_BUDGET = 24 * _CHUNK_ENTRIES  # work-array and draw entries of all Monte Carlo workers together, whatever the CPU count
+_WORK_BUDGET = 24 * 16 * _CHUNK_ENTRIES  # bytes of all workers' arrays together, whatever the CPU count (24 complex chunks)
 
 #: Chunks of points a Monte Carlo worker draws per random() call of each stream.
 _DRAW_CHUNKS = 3
+
+
+def _run_shares(work, shares: list) -> None:
+    """work(share) for each share, the first in this thread and the others on a thread pool; raises after all have joined."""
+    from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging, 6 ms of `import bohrlift`
+    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:  # threads start on submit: one share starts none
+        futures = [pool.submit(work, part) for part in shares[1:]]
+        work(shares[0])
+    for future in futures:
+        future.result()
 
 
 def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[NormEstimate]]:
@@ -176,18 +186,17 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
 
     The chunks are split into contiguous shares, one per CPU
     (`_worker_count`) while the workers' work arrays and draw blocks fit
-    _WORK_BUDGET; the first share runs in this thread and the others on
-    a standard-library thread pool, whose exceptions are raised here
-    after every thread has joined.  Each worker takes a workspace from
-    the free list (`series.workspace`) for its kernel arrays and its
-    draw block, and gives it back after its share.  It starts its
-    streams once, at the first row of its share, draws _DRAW_CHUNKS
-    chunks per block, coordinate-major, evaluates each chunk-wide column
-    view of the block (transposed: column-major angles, as the plan
-    reads them), and writes that chunk's norm for every weight row from
-    the row-contiguous (rows, terms, dim) weighted stack, so a stacked
-    row gives the bits of the same row estimated alone.  Neither chunks
-    nor streams depend on the split or the draw block, so no value does.
+    _WORK_BUDGET in bytes, and run by `_run_shares`.  Each worker takes a
+    workspace from the free list (`series.workspace`) for its kernel
+    arrays and its draw block, and gives it back after its share.  It
+    starts its streams once, at the first row of its share, draws
+    _DRAW_CHUNKS chunks per block, coordinate-major, evaluates each
+    chunk-wide column view of the block (transposed: column-major
+    angles, as the plan reads them), and writes that chunk's norm for
+    every weight row from the row-contiguous (rows, terms, dim) weighted
+    stack, so a stacked row gives the bits of the same row estimated
+    alone.  Neither chunks nor streams depend on the split or the draw
+    block, so no value does.
     A row whose weights vanish off the constant term (n = 1, or the
     empty index) gets its exact norm (every H_p norm of a constant is
     the coefficient norm), with no samples.
@@ -212,7 +221,7 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
     # (rows, terms, dim) in target's term order; each row C-contiguous, so a stacked row takes its unit row's dot kernel
     stack = np.ascontiguousarray(weights[moving][:, order])[:, :, None] * C[order]
     S = cfg.samples
-    chunk, work_entries, monomials = series.monomial_map(target)
+    chunk, work_bytes, monomials = series.monomial_map(target)
     seeds = stream_seeds(cfg, active)
     step = _DRAW_CHUNKS * chunk
     x = np.empty((len(stack), S))
@@ -228,15 +237,9 @@ def _mc_rows(poly, ps, weights: np.ndarray, cfg: SamplerConfig) -> list[list[Nor
                         row[at + a : at + a + len(E)] = row_norms(E @ c, poly.space)
 
     starts = range(0, S, chunk)
-    draw_entries = (1 if active is None else len(active)) * step  # iid streams, or the flow's angles
-    n = min(_worker_count(), len(starts), max(1, _WORK_BUDGET // (work_entries + draw_entries)))
-    shares = [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)]
-    from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging, 6 ms of `import bohrlift`
-    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # threads start on submit: one share starts none
-        futures = [pool.submit(share, part) for part in shares[1:]]
-        share(shares[0])
-    for future in futures:
-        future.result()
+    draw_bytes = 8 * (1 if active is None else len(active)) * step  # iid streams, or the flow's angles
+    n = min(_worker_count(), len(starts), max(1, _WORK_BUDGET // (work_bytes + draw_bytes)))
+    _run_shares(share, [starts[len(starts) * i // n : len(starts) * (i + 1) // n] for i in range(n)])
     for r, norms in zip(np.flatnonzero(moving), x):
         out[r] = [mc_estimate(norms, p, cfg) for p in ps]
     return out
@@ -376,20 +379,15 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**k)
 
 
-def _line_norms(D: DirichletPoly, R: float, t_samples) -> tuple[np.ndarray, float, float, int]:
-    """Norms of D at the t_samples centred nodes of [-R, R], spacing h = 2R/(t_samples - 1).
-
-    Returns the norms, h, and R and t_samples as a Python float and
-    int.  R must be finite and positive, and t_samples an integer of at
-    least 2 (see `check_count`).
-    """
+def _line_spacing(D: DirichletPoly, R: float, t_samples) -> tuple[float, float, int]:
+    """(h, R, T) of the T = t_samples centred nodes of [-R, R], h = 2R/(T - 1), for a finite positive R and an integer T >= 2."""
     if not isinstance(D, DirichletPoly):
         raise TypeError("vertical-line estimators need a Dirichlet polynomial")
     T = check_count(t_samples, "t_samples", 2)
     h = 2.0 * R / (T - 1)
     if not (h > 0 and math.isfinite(h)):  # refuses a NaN, infinite or non-positive R too
         raise ValueError(f"R must be finite and positive, with a finite nonzero spacing 2R/(t_samples - 1); got R = {R!r}")
-    return row_norms(_line_grid_values(D, h, T), D.space), h, float(R), T
+    return h, float(R), T
 
 
 def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormEstimate:
@@ -399,8 +397,8 @@ def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormE
     to watch the approach along R, 2R, 4R.
     """
     check_p(p)
-    vals, dt, R, T = _line_norms(D, R, t_samples)
-    vp, m = _scaled_powers(vals, p)
+    dt, R, T = _line_spacing(D, R, t_samples)
+    vp, m = _scaled_powers(row_norms(_line_grid_values(D, dt, T), D.space), p)
     integral = (pairwise_sum(vp) - 0.5 * (vp[0] + vp[-1])) * dt
     value = m * float(integral / (2.0 * R)) ** (1.0 / p)
     return NormEstimate(value, VERTICAL_MEAN, 0.0, T, 0, R=R)
@@ -413,8 +411,36 @@ def vertical_sup(D: DirichletPoly, R: float, t_samples: int) -> NormEstimate:
     values climb toward the sup norm of the lift by equidistribution of
     the line inside the torus.
     """
-    vals, _, R, T = _line_norms(D, R, t_samples)
-    return NormEstimate(float(vals.max()), VERTICAL_SUP, 0.0, T, 0, R=R)
+    h, R, T = _line_spacing(D, R, t_samples)
+    return NormEstimate(float(row_norms(_line_grid_values(D, h, T), D.space).max()), VERTICAL_SUP, 0.0, T, 0, R=R)
+
+
+def _vertical_sups(D: DirichletPoly, scans: list, t_samples) -> list[NormEstimate]:
+    """vertical_sup(S, R, t_samples) for each (k, R) in scans, S the first k terms of D, each distinct scan made once.
+
+    All are validated first, so an error is the first bad call's.  Each
+    scan reads its prefix of D's coefficient rows and index logs
+    (`series._line_grid_scan`): vertical_sup's bits on S.  Scans go
+    largest first to the least loaded of at most one share per CPU
+    (`_worker_count`) within _WORK_BUDGET, run by `_run_shares`; each
+    grid is computed whole by one thread, so no value depends on the split.
+    """
+    keys = [(k, *_line_spacing(D, R, t_samples)) for k, R in scans]  # (k, h, R, T)
+    T, C = keys[0][3], coeff_matrix(D)
+    logs = np.log(np.array(D.indices(), dtype=np.float64))
+    order = sorted(dict.fromkeys(keys), key=lambda key: -key[0])
+    # the largest scan's output and norms, its W and U tables, and a block of U * C with its product
+    scan_bytes = 16 * (T * C.shape[1] + 3 * min(order[0][0] * 2 * (math.isqrt(T - 1) + 1), _CHUNK_ENTRIES)) + 8 * T
+    shares, sups = [[] for _ in range(min(_worker_count(), len(order), max(1, _WORK_BUDGET // scan_bytes)))], {}
+    for key in order:  # to the least loaded share, a scan's load being its terms + 1 (times T)
+        min(shares, key=lambda part: sum(k + 1 for k, *_ in part)).append(key)
+
+    def share(part):
+        for key in part:
+            sups[key] = float(row_norms(series._line_grid_scan(logs[: key[0]], C[: key[0]], key[1], T), D.space).max())
+
+    _run_shares(share, shares)
+    return [NormEstimate(sups[key], VERTICAL_SUP, 0.0, T, 0, R=key[2]) for key in keys]
 
 
 def vertical_mean_diagnostic(

@@ -14,12 +14,13 @@ partial sums S_n D, the mechanism behind the log bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .norms import check_count, norm_h2_exact, norm_hp_rows, vertical_sup
+from .norms import _vertical_sups, check_count, norm_h2_exact, norm_hp_rows
 from .sampling import SamplerConfig
 from .series import DirichletPoly, coeff_matrix, max_coeff_gap, partial_sum
 from .spaces import row_norms
@@ -102,7 +103,9 @@ def log_bound_experiment(
     """Truncation-ratio sweep ||S_N D|| / ||D|| for D = family(max(Ns)).
 
     p = infinity uses the vertical-line sup scan with half-length
-    R = r_per_n * N (R = r_per_n * max index for the denominator).
+    R = r_per_n * N (R = r_per_n * max index for the denominator), each
+    distinct scan once, on worker threads (`norms._vertical_sups`): a
+    truncation keeping every term at the denominator's R reads exactly 1.
     Finite p makes one `norm_hp_rows` call with the weight rows 1 (the
     denominator) and 1[n <= N]: exact Parseval at p = 2 with Euclidean
     coefficients, else Monte Carlo on one sample set, every row with
@@ -120,11 +123,12 @@ def log_bound_experiment(
     D = family(max(Ns))
     if len(D) == 0:
         raise ValueError("family produced the zero polynomial")
+    keys = D.indices()
     if math.isinf(p):
-        denom = vertical_sup(D, r_per_n * max(D.max_index, 2), t_samples)
-        nums = [vertical_sup(partial_sum(D, N), r_per_n * N, t_samples) for N in Ns]
+        scans = [(len(keys), r_per_n * max(D.max_index, 2))] + [(bisect_right(keys, N), r_per_n * N) for N in Ns]
+        denom, *nums = _vertical_sups(D, scans, t_samples)
     else:
-        ns = np.array(D.indices())
+        ns = np.array(keys)
         weights = np.stack([np.ones(len(ns))] + [(ns <= N).astype(np.float64) for N in Ns])
         denom, *nums = norm_hp_rows(D, p, weights, cfg)
     rows = []

@@ -342,7 +342,7 @@ def _work_views(work: list, slot: int, dtype, rows, S: int, capacity: int) -> li
 
 
 def monomial_map(poly):
-    """Multiplicative plan for poly's monomials: (points per chunk, work entries, map from points to monomials).
+    """Multiplicative plan for poly's monomials: (points per chunk, work bytes, map from points to monomials).
 
     A monomial is a product of factor powers: z_j^e with z_j =
     exp(i theta_j) at torus angles theta of shape (S, width) for a
@@ -370,7 +370,7 @@ def monomial_map(poly):
     read-only, so threads may share it: each caller passes its own
     workspace, a list (see `workspace`) whose flat buffers the map
     carves into its work arrays, growing them on first use to a full
-    chunk; the work entries returned are the arrays' total size.
+    chunk; the work bytes returned are the arrays' total size.
     """
     power = isinstance(poly, PowerPoly)
     if power:
@@ -435,7 +435,7 @@ def monomial_map(poly):
         np.take(M, columns, axis=0, out=E, mode="clip")
         return E.T
 
-    return chunk, (sum(floats) + sum(complexes)) * chunk, monomials
+    return chunk, (8 * sum(floats) + 16 * sum(complexes)) * chunk, monomials
 
 
 def evaluate(poly, points: np.ndarray) -> np.ndarray:
@@ -474,8 +474,15 @@ def dirichlet_line_values(D: DirichletPoly, t: np.ndarray) -> np.ndarray:
 
 
 def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
-    """(T, dim) values of D at the T >= 2 centred nodes t_k = (k - (T-1)/2) h.
+    """(T, dim) values of D at the T >= 2 centred nodes t_k = (k - (T-1)/2) h (see `_line_grid_scan`)."""
+    return _line_grid_scan(np.log(np.array(D.indices(), dtype=np.float64)), coeff_matrix(D), h, T)
 
+
+def _line_grid_scan(logs: np.ndarray, C: np.ndarray, h: float, T: int) -> np.ndarray:
+    """(T, dim) values of sum_n a_n n^{-it} at the T >= 2 centred nodes t_k = (k - (T-1)/2) h.
+
+    The terms come as their logs log n and coefficient rows C, so a
+    truncation of sorted terms is a prefix of both arrays.
     An odd T has a node at exactly t = 0.  With c = (T-1)//2 and
     S = isqrt(T-1) + 1, write k - c = qS + j with 0 <= j < S, so that
     t_k = qSh + (j - frac)h, frac = 0 for odd T and 1/2 for even T.
@@ -494,10 +501,9 @@ def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
     S = math.isqrt(T - 1) + 1
     q_lo, q_hi = -c // S, (T - 1 - c) // S
     Q = q_hi - q_lo + 1
-    dim = D.space.dim
+    dim = C.shape[1]
     out = np.zeros((T, dim), dtype=np.complex128)
-    neg_logs = -0.5 * np.log(np.array(D.indices(), dtype=np.float64))  # half phases, see `_unit_from_half`
-    C = coeff_matrix(D)
+    neg_logs = -0.5 * logs  # half phases, see `_unit_from_half`
     j_times = (np.arange(S) - 0.5 * (1 - T % 2)) * h
     q_times = np.arange(q_lo, q_hi + 1) * S * h
     width = max(1, min(len(neg_logs), _CHUNK_ENTRIES // (S + Q)))

@@ -27,6 +27,7 @@ from bohrlift import (
     kernel_m_series,
     khintchine_linear,
     norm_h2_exact,
+    norm_hinf_grid,
     norm_hp_mc,
     normalize_for_schwarz,
     pointwise_eval_bound_h2,
@@ -35,7 +36,7 @@ from bohrlift import (
     stolz_ratio,
     unit_direction_family,
 )
-from bohrlift import series
+from bohrlift import analysis, series
 
 
 def test_cayley_values():
@@ -318,3 +319,16 @@ def test_criterion_c0_family_default_grid():
     assert [m for m, _ in report.per_m] == list(range(1, 7))
     for _, est in report.per_m:
         assert abs(est.value - 1.0) <= 1e-12
+
+
+def test_criterion_scans_each_distinct_restriction_once(monkeypatch):
+    # c0(8) uses the primes 2, 3, 5 and 7: the restrictions at m = 5 and 6 keep the 8 terms of m = 4
+    P = c0_style_family(8)(6)
+    scans = []
+    scan = analysis.norm_hinf_grid
+    monkeypatch.setattr(analysis, "norm_hinf_grid", lambda poly, G: scans.append(len(poly)) or scan(poly, G))
+    report = hilbert_criterion(c0_style_family(8), math.inf, 6)
+    assert scans == [4, 6, 7, 8]  # n = 1, 2, 4, 8 on z_0, then 3 and 6, then 5, then 7
+    assert [m for m, _ in report.per_m] == list(range(1, 7))
+    for m, est in report.per_m:
+        assert est == norm_hinf_grid(restrict(P, m), 16)

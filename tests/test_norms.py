@@ -473,6 +473,30 @@ def test_mc_memory_follows_the_chunk_not_the_samples(monkeypatch):
     assert peak <= 32 * 2**20
 
 
+# the benchmark's torus_mc input: 30 indices below 5000 on 24 primes, the largest the 424th
+TORUS_MC_INPUT = DirichletPoly(
+    {
+        n: [0.5, 0.25j]
+        for n in (30, 48, 160, 192, 334, 375, 400, 640, 641, 1142, 1152, 1172, 1202, 1747, 2029,
+                  2273, 2339, 2342, 2671, 2689, 2820, 2928, 2939, 2956, 3840, 3867, 4132, 4244, 4413, 4874)
+    },
+    CoeffSpace(2),
+)
+
+
+def test_the_work_budget_counts_bytes(monkeypatch):
+    # per worker, 3,077,984 B of work arrays at 2,114 points and a draw block of 3 chunks at 24
+    # coordinates, 1,217,664 B: 4,295,648 B, of which 24 complex chunks (25,165,824 B) fit 5
+    monkeypatch.setattr(norms, "_worker_count", lambda: 16)
+    splits = []
+    run = norms._run_shares
+    monkeypatch.setattr(norms, "_run_shares", lambda work, shares: splits.append(len(shares)) or run(work, shares))
+    P = bohr_lift(TORUS_MC_INPUT)
+    assert P.width == 424 and series.monomial_map(series.pack(P)[1])[:2] == (2114, 3_077_984)
+    norm_hp_mc(TORUS_MC_INPUT, 4.0, SamplerConfig(20_000, 0))
+    assert norms._WORK_BUDGET == 25_165_824 and splits == [5]
+
+
 # -- the separable lattice engine ---------------------------------------------
 
 

@@ -1,6 +1,9 @@
 """Summation by parts and truncation-growth experiments."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from bohrlift import (
     norm_hp_mc,
     partial_sum,
     partial_sum_projection_check,
+    vertical_sup,
 )
-from bohrlift import series
+from bohrlift import norms, series
 from conftest import random_dirichlet
 
 
@@ -210,3 +214,118 @@ def test_log_bound_validation():
         log_bound_experiment(lambda s: gallery("zeta_shift", s), 2.0, [])
     with pytest.raises(ValueError):
         log_bound_experiment(lambda s: gallery("zeta_shift", s), 2.0, [4, 3])
+
+
+# -- the p = inf sweep on one coefficient matrix ------------------------------
+
+SWEEP_NS = [2**k for k in range(2, 13)]  # the README's `log-bound --N 4096` and acceptance criterion 7
+
+
+def separate_scans(D, Ns, T, r):
+    """The sweep's ratios from a vertical_sup call on each truncation polynomial."""
+    denom = vertical_sup(D, r * max(D.max_index, 2), T).value
+    return [vertical_sup(partial_sum(D, N), r * N, T).value / denom for N in Ns]
+
+
+def count_scans(monkeypatch) -> list:
+    """The term count of every line grid scan from here on."""
+    scans = []
+    scan = series._line_grid_scan
+    monkeypatch.setattr(series, "_line_grid_scan", lambda logs, C, h, T: scans.append(len(C)) or scan(logs, C, h, T))
+    return scans
+
+
+@pytest.mark.parametrize(
+    "family, Ns, T, r",
+    [
+        (lambda s: gallery("zeta_shift", s), SWEEP_NS, 8193, 100.0),
+        (lambda s: gallery("zeta_shift", 3000), SWEEP_NS, 1025, 100.0),
+        (lambda s: gallery("c0", s), [4, 9, 30, 40], 1001, 30.0),
+        (lambda s: gallery("random_unimodular", s, seed=3), [3, 7, 50, 300, 301], 2000, 7.5),
+    ],
+    ids=["README", "max index below max(Ns)", "C^40 linf", "even T"],
+)
+def test_sup_sweep_rows_are_the_separate_scans_bit_for_bit(monkeypatch, family, Ns, T, r):
+    expected = [ratio.hex() for ratio in separate_scans(family(max(Ns)), Ns, T, r)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more workers than cores, switching often: a lost scan result would show
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(norms, "_worker_count", lambda: workers)
+            rows = log_bound_experiment(family, math.inf, Ns, t_samples=T, r_per_n=r)
+            assert [row.ratio.hex() for row in rows] == expected
+            assert all(row.method == "vertical_sup" and row.std_error == 0.0 for row in rows)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sup_sweep_reuses_the_denominator_scan_for_the_full_truncation(monkeypatch):
+    # the size-4096 member has max index 4096, so S_4096 D is D at the denominator's R
+    scans = count_scans(monkeypatch)
+    rows = log_bound_experiment(lambda s: gallery("zeta_shift", s), math.inf, SWEEP_NS, t_samples=8193)
+    assert sorted(scans) == SWEEP_NS
+    assert rows[-1].ratio == 1.0
+
+
+def test_sup_sweep_merges_nothing_when_the_max_index_is_below_the_largest_N(monkeypatch):
+    # at N = 4096 every one of the 3,000 terms is kept, but at R = 409,600, not the denominator's 300,000
+    scans = count_scans(monkeypatch)
+    log_bound_experiment(lambda s: gallery("zeta_shift", 3000), math.inf, SWEEP_NS, t_samples=257)
+    assert sorted(scans) == SWEEP_NS[:-1] + [3000, 3000]
+
+
+def test_sup_sweep_keeps_scans_of_the_same_terms_at_different_R(monkeypatch):
+    D = DirichletPoly({1: 1.0, 2: -0.5j, 3: 0.25})
+    scans = count_scans(monkeypatch)
+    rows = log_bound_experiment(lambda s: D, math.inf, [3, 4, 5], t_samples=257)
+    assert scans == [3, 3, 3]
+    assert [row.ratio for row in rows] == separate_scans(D, [3, 4, 5], 257, 100.0)
+    assert rows[0].ratio == 1.0
+
+
+def test_sup_sweep_empty_truncation_reads_zero():
+    D = DirichletPoly({3: 1.0, 5: 1.0})
+    rows = log_bound_experiment(lambda s: D, math.inf, [2, 4, 5], t_samples=257)
+    assert (rows[0].ratio, rows[0].ratio_over_log, rows[0].std_error) == (0.0, 0.0, 0.0)
+    assert [row.ratio for row in rows] == separate_scans(D, [2, 4, 5], 257, 100.0)
+
+
+@pytest.mark.parametrize(
+    "D, t_samples, r_per_n",
+    [
+        (gallery("zeta_shift", 16), 1, 100.0),
+        (gallery("zeta_shift", 16), 256.5, 100.0),
+        (gallery("zeta_shift", 16), 257, 0.0),
+        (gallery("zeta_shift", 16), 257, -3.0),
+        (gallery("zeta_shift", 16), 257, math.nan),
+        (gallery("zeta_shift", 16), 257, math.inf),
+        # the denominator's R = 7.5e307 has a finite spacing, N = 4096's R = 1.024e308 does not
+        (gallery("zeta_shift", 3000), 257, 2.5e304),
+    ],
+)
+def test_sup_sweep_refuses_what_the_separate_scans_refuse_before_any_scan(monkeypatch, D, t_samples, r_per_n):
+    Ns = [4, 16] if D.max_index == 16 else [4, 4096]
+    with pytest.raises((TypeError, ValueError)) as separate, np.errstate(over="ignore", invalid="ignore"):
+        separate_scans(D, Ns, t_samples, r_per_n)  # a denominator scan at R = 7.5e307 overflows its phases
+    scans = count_scans(monkeypatch)
+    with pytest.raises(separate.type) as swept:
+        log_bound_experiment(lambda s: D, math.inf, Ns, t_samples=t_samples, r_per_n=r_per_n)
+    assert str(swept.value) == str(separate.value)
+    assert scans == []
+
+
+def test_a_failing_sweep_scan_on_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(norms, "_worker_count", lambda: 3)
+    scan = series._line_grid_scan
+
+    def failing_in_workers(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)  # late, so that only a join can see it
+            raise RuntimeError("scan failed")
+        return scan(*args)
+
+    monkeypatch.setattr(series, "_line_grid_scan", failing_in_workers)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="scan failed"):
+        log_bound_experiment(lambda s: gallery("zeta_shift", s), math.inf, [4, 16, 64], t_samples=257)
+    assert threading.active_count() == before

@@ -474,11 +474,11 @@ def test_base_values_as_rows_give_the_term_major_monomials_bit_for_bit(rng, poly
 
 def test_helper_bases_add_rows_but_keep_the_chunk():
     P = chained_power_poly()
-    chunk, work_entries, _ = series.monomial_map(P)
+    chunk, work_bytes, _ = series.monomial_map(P)
     assert chunk == series._CHUNK_ENTRIES // len(P)  # the constant is a term here
-    # phases and tan work for 8 bases, then M: the constant, 8 bases and 5 chained terms;
-    # parents and factors for the widest level (3 terms), and E
-    assert work_entries == (8 + 8 + 14 + 3 + 3 + len(P)) * chunk
+    # float phases and tan work for 6 bases, then complex M: the constant, 6 bases and 7 chained
+    # terms; parents and factors for the widest level (5 terms), and E
+    assert work_bytes == (8 * (6 + 6) + 16 * (14 + 5 + 5 + len(P))) * chunk
 
 
 def vector_power_poly(rng, dim, chained):
