@@ -100,12 +100,22 @@ class MultiIndex:
     def __hash__(self) -> int:
         return hash(self._pairs)
 
-    def order_key(self) -> tuple[tuple[int, int], ...]:
+    def order_key(self) -> tuple[int, ...]:
         """Sort key of the dense lexicographic order, built without the dense tuples.
 
-        At the first differing pair, the nonzero entry at the earlier position is the larger.
+        The flat tuple (-p0, e0, -p1, e1, ...) of the negated positions and
+        the exponents: at the first differing pair, the nonzero entry at the
+        earlier position is the larger.  Every pair has two entries, so the
+        flat tuples order as the tuples of (-pos, e) pairs would, and a
+        sort compares them as plain integer tuples.
         """
-        return tuple([(-pos, e) for pos, e in self._pairs])
+        pairs = self._pairs
+        if len(pairs) > 4:  # one linear pass; the concatenations below copy the key so far
+            return tuple([x for pos, e in pairs for x in (-pos, e)])
+        key = ()  # lifted indices have few pairs, and concatenating is fastest for them
+        for pos, e in pairs:
+            key += (-pos, e)
+        return key
 
     def __lt__(self, other: "MultiIndex") -> bool:
         # dense lexicographic order; sorts pass key=MultiIndex.order_key instead

@@ -429,8 +429,7 @@ def _vertical_sups(D: DirichletPoly, scans: list, t_samples) -> list[NormEstimat
     T, C = keys[0][3], coeff_matrix(D)
     logs = np.log(np.array(D.indices(), dtype=np.float64))
     order = sorted(dict.fromkeys(keys), key=lambda key: -key[0])
-    # the largest scan's output and norms, its W and U tables, and a block of U * C with its product
-    scan_bytes = 16 * (T * C.shape[1] + 3 * min(order[0][0] * 2 * (math.isqrt(T - 1) + 1), _CHUNK_ENTRIES)) + 8 * T
+    scan_bytes = max(series._line_grid_bytes(k, C.shape[1], T) for k, *_ in order) + 8 * T  # a scan's arrays and norms
     shares, sups = [[] for _ in range(min(_worker_count(), len(order), max(1, _WORK_BUDGET // scan_bytes)))], {}
     for key in order:  # to the least loaded share, a scan's load being its terms + 1 (times T)
         min(shares, key=lambda part: sum(k + 1 for k, *_ in part)).append(key)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
-from itertools import groupby
+from itertools import compress, groupby, repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -46,6 +46,18 @@ def _coeff_stack(values: list, dim: int) -> np.ndarray | None:
     if stack.ndim == 1 and dim == 1:  # scalars
         return stack.reshape(-1, 1)
     return stack if stack.ndim == 2 and stack.shape[1] == dim else None
+
+
+def _store(keys: list, stack: np.ndarray) -> dict:
+    """key -> read-only copy of its row of stack, for the nonzero rows; rejects a non-finite stack."""
+    if not np.isfinite(stack).all():
+        raise ValueError("coefficients must be finite")
+    # each row a copy that owns its memory: a view would keep the whole stack alive;
+    # C-level maps, since a Python loop over the rows takes about 1.5 times as long
+    rows = list(map(np.ndarray.copy, stack))
+    deque(map(np.ndarray.setflags, rows, repeat(False)), maxlen=0)
+    nonzero = stack.any(axis=1).tolist()
+    return dict(zip(compress(keys, nonzero), compress(rows, nonzero)))
 
 
 def _check_space(a, b) -> None:
@@ -75,27 +87,28 @@ class _SparsePoly:
                 self._key(key)
                 rows.append(as_coeff_array(v, space.dim))
             stack = np.array(rows, dtype=np.complex128).reshape(len(rows), space.dim)
-        keys = [self._key(key) for key in items]
-        if not np.isfinite(stack).all():
-            raise ValueError("coefficients must be finite")
-        store = {}
-        for key, row, nonzero in zip(keys, stack, stack.any(axis=1).tolist()):
-            if nonzero:
-                row = row.copy()  # owns its memory: a view would keep the whole stack alive
-                row.setflags(write=False)
-                store[key] = row
-        self._coeffs = store
+        self._coeffs = _store([self._key(key) for key in items], stack)
+
+    @classmethod
+    def _stacked(cls, keys: list, stack: np.ndarray, space: CoeffSpace):
+        """The constructor's core (`_store`) on validated, distinct keys and their (terms, dim) coefficient rows."""
+        poly = cls.__new__(cls)
+        poly._space = space
+        poly._coeffs = _store(keys, stack)
+        return poly
 
     @classmethod
     def _moved(cls, coeffs: Mapping, space: CoeffSpace):
         """A polynomial on coefficient vectors stored by other polynomials, kept as they are.
 
-        Stored vectors are immutable copies, nonzero and finite, so only
-        the keys are validated; lift and transform move, never copy.
+        Stored vectors are immutable copies, nonzero and finite, and the
+        keys are valid already (stored keys, or made by `factorize_all`,
+        `index_of` or `pack`), so nothing is checked again; lift and
+        transform move, never copy.
         """
         poly = cls.__new__(cls)
         poly._space = space
-        poly._coeffs = {cls._key(key): v for key, v in coeffs.items()}
+        poly._coeffs = dict(coeffs)
         return poly
 
     @property
@@ -163,6 +176,13 @@ class DirichletPoly(_SparsePoly):
             raise ValueError(f"index {n} is beyond the 64-bit range")
         return n
 
+    @staticmethod
+    def _check_keys(ns: list) -> None:
+        """`_key`'s range check on a list of ints at once; on failure it raises at the first index out of range."""
+        if ns and not 1 <= min(ns) <= max(ns) <= MAX_INDEX:
+            for n in ns:
+                DirichletPoly._key(n)
+
     @property
     def max_index(self) -> int:
         """Largest stored index N (0 for the zero polynomial)."""
@@ -209,7 +229,7 @@ def bohr_lift(D: DirichletPoly) -> PowerPoly:
 
 def bohr_transform(P: PowerPoly) -> DirichletPoly:
     """Inverse of the lift: coefficient at alpha returns to index prod p_j^alpha_j."""
-    return DirichletPoly._moved({index_of(alpha): v for alpha, v in P.items()}, P.space)
+    return DirichletPoly._moved(dict(zip(map(index_of, P._coeffs), P._coeffs.values())), P.space)
 
 
 def restrict(P: PowerPoly, m: int) -> PowerPoly:
@@ -269,10 +289,14 @@ _TRIAL_PRIMES = 1 << 16
 
 def coeff_matrix(poly) -> np.ndarray:
     """Stacked coefficient vectors, one row per stored index, in sorted index order."""
-    keys = poly.indices()
+    return coeff_rows(poly, poly.indices())
+
+
+def coeff_rows(poly, keys: list) -> np.ndarray:
+    """(len(keys), dim) array of the coefficient vectors stored at keys, in their order."""
     if not keys:
         return np.zeros((0, poly.space.dim), dtype=np.complex128)
-    return np.array([poly[k] for k in keys], dtype=np.complex128)
+    return np.concatenate(list(map(poly._coeffs.__getitem__, keys))).reshape(len(keys), poly.space.dim)
 
 
 def _unit_from_half(half: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
@@ -494,20 +518,16 @@ def _line_grid_scan(logs: np.ndarray, C: np.ndarray, h: float, T: int) -> np.nda
     both tables hold exactly 1.  Blocks of terms keep the two tables
     within _CHUNK_ENTRIES, and blocks of q keep U * C within it too
     (down to a single q, no larger than C), so memory beyond the output
-    stays near the chunk size; each block's product is added into the
-    output.
+    stays near the chunk size (`_line_grid_bytes`); each block's
+    product is added into the output.
     """
-    c = (T - 1) // 2
-    S = math.isqrt(T - 1) + 1
-    q_lo, q_hi = -c // S, (T - 1 - c) // S
-    Q = q_hi - q_lo + 1
     dim = C.shape[1]
+    S, q_lo, q_hi, width, rows = _line_grid_blocks(len(logs), dim, T)
+    c, Q = (T - 1) // 2, q_hi - q_lo + 1
     out = np.zeros((T, dim), dtype=np.complex128)
     neg_logs = -0.5 * logs  # half phases, see `_unit_from_half`
     j_times = (np.arange(S) - 0.5 * (1 - T % 2)) * h
     q_times = np.arange(q_lo, q_hi + 1) * S * h
-    width = max(1, min(len(neg_logs), _CHUNK_ENTRIES // (S + Q)))
-    rows = max(1, min(Q, _CHUNK_ENTRIES // (width * dim)))
     W = np.empty((S, width), dtype=np.complex128)
     U = np.empty((Q, width), dtype=np.complex128)
     # U[q] is the conjugate of U[-q]: tan is odd bit for bit (see `_unit_from_half`), and so is qSh log n,
@@ -529,7 +549,30 @@ def _line_grid_scan(logs: np.ndarray, C: np.ndarray, h: float, T: int) -> np.nda
             V = (W[:, :w] @ UC.reshape(w, -1)).reshape(S, qb - qa, dim).swapaxes(0, 1).reshape(-1, dim)
             k = (q_lo + qa) * S + c  # the node of V's first row; the first and last q reach past the grid
             out[max(k, 0) : k + len(V)] += V[max(-k, 0) : T - k]
+            del UC, V  # before the next block's, so that one block is held at a time
     return out
+
+
+def _line_grid_blocks(terms: int, dim: int, T: int) -> tuple[int, int, int, int, int]:
+    """(S, q_lo, q_hi, width, rows): S nodes per q from q_lo to q_hi, in blocks of width terms and rows q (`_line_grid_scan`)."""
+    c = (T - 1) // 2
+    S = math.isqrt(T - 1) + 1
+    q_lo, q_hi = -c // S, (T - 1 - c) // S
+    width = max(1, min(terms, _CHUNK_ENTRIES // (S + q_hi - q_lo + 1)))
+    rows = max(1, min(q_hi - q_lo + 1, _CHUNK_ENTRIES // (width * dim)))
+    return S, q_lo, q_hi, width, rows
+
+
+def _line_grid_bytes(terms: int, dim: int, T: int) -> int:
+    """Bytes a `_line_grid_scan` of terms terms in C^dim at T nodes holds at once.
+
+    Its (T, dim) output and half phases, one block's W and U tables and
+    float phase work, and a block of U * C with its product and that
+    product's copy in node order.
+    """
+    S, q_lo, q_hi, width, rows = _line_grid_blocks(terms, dim, T)
+    tables = (S + q_hi - q_lo + 1) * width
+    return 16 * (T * dim + tables + width * rows * dim + 2 * S * rows * dim) + 8 * (terms + 2 * S * width)
 
 
 def power_eval(P: PowerPoly, z: Iterable[complex]) -> np.ndarray:

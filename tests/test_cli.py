@@ -7,14 +7,16 @@ import subprocess
 import sys
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bohrlift import DirichletPoly, bohr_lift, dumps, loads_dirichlet, loads_power
+from bohrlift import CoeffSpace, DirichletPoly, bohr_lift, dumps, loads_dirichlet, loads_power
 from bohrlift import cli
 from bohrlift.cli import ExperimentSpec, run
 from bohrlift.errors import SieveCapError
 from bohrlift.primes import SIEVE_CAP_ENV
+from bohrlift.serialize import power_from_dict, power_to_dict
 
 
 def run_spec(sub, out=None, fmt="json", **params):
@@ -40,6 +42,34 @@ def test_lift_and_transform_roundtrip(tmp_path):
     back = tmp_path / "d2.json"
     assert run_spec("transform", str(back), input_path=str(lifted)) == 0
     assert loads_dirichlet(back.read_text()) == D
+
+
+def _c3_linf():
+    rng = np.random.default_rng(11)
+    ns = [1, 4999, *rng.choice(np.arange(2, 5000), size=600, replace=False).tolist()]  # 4999 is the 669th prime
+    values = rng.standard_normal((len(ns), 3)) + 1j * rng.standard_normal((len(ns), 3))
+    values[1, 0] = complex(-0.0, 5e-324)
+    return DirichletPoly(dict(zip(ns, values)), CoeffSpace(3, "linf"))
+
+
+@pytest.mark.parametrize("source", ["random_unimodular 3000", "C^3 linf"])
+def test_gallery_lift_transform_chain_gives_back_the_document_byte_for_byte(tmp_path, source):
+    d, p, back = (tmp_path / name for name in ("D.json", "P.json", "D2.json"))
+    if source == "C^3 linf":
+        d.write_text(dumps(_c3_linf()) + "\n")
+    else:
+        assert run_spec("gallery", str(d), name="random_unimodular", size=3000, seed=1, sigma=0.51) == 0
+    assert run_spec("lift", str(p), input_path=str(d)) == 0
+    assert run_spec("transform", str(back), input_path=str(p)) == 0
+    assert back.read_bytes() == d.read_bytes()
+    D = loads_dirichlet(d.read_text())
+    P = bohr_lift(D)
+    assert p.read_text() == dumps(P) + "\n"
+    # the encoder's tree holds each index's pair tuples; JSON gives them back as lists
+    doc, loaded = power_to_dict(P), json.loads(dumps(P))
+    assert loaded["space"] == doc["space"]
+    assert loaded["coeffs"] == [{**entry, "pairs": [list(pair) for pair in entry["pairs"]]} for entry in doc["coeffs"]]
+    assert power_from_dict(doc) == P
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,39 @@ def test_sup_sweep_refuses_what_the_separate_scans_refuse_before_any_scan(monkey
         log_bound_experiment(lambda s: D, math.inf, Ns, t_samples=t_samples, r_per_n=r_per_n)
     assert str(swept.value) == str(separate.value)
     assert scans == []
+
+
+@pytest.mark.parametrize("workers, shares", [(1, 1), (2, 2), (4, 4), (7, 7), (16, 9)])
+def test_sup_sweep_shares_on_the_readme_shape(monkeypatch, workers, shares):
+    # the README `log-bound --N 4096` command and the benchmark sweep: zeta_shift 4096 at T = 8193, 11 scans;
+    # up to 7 CPUs one share each, as before series counted the scan's bytes; past that the byte budget holds 9 scans
+    monkeypatch.setattr(norms, "_worker_count", lambda: workers)
+    counts = []
+    run = norms._run_shares
+    monkeypatch.setattr(norms, "_run_shares", lambda work, parts: counts.append(len(parts)) or run(work, parts))
+    log_bound_experiment(lambda s: gallery("zeta_shift", s), math.inf, SWEEP_NS, t_samples=8193)
+    assert counts == [shares]
+    assert norms._WORK_BUDGET // (series._line_grid_bytes(4096, 1, 8193) + 8 * 8193) == 9
+
+
+@pytest.mark.parametrize(
+    "D, T",
+    [(gallery("zeta_shift", 4096), 8193), (gallery("zeta_shift", 3000), 1025), (gallery("c0", 300), 4001), (gallery("random_unimodular", 301, seed=3), 2000)],
+    ids=["README", "short grid", "C^300 linf", "even T"],
+)
+def test_line_grid_bytes_count_what_a_scan_holds(D, T):
+    # with vector coefficients a block of U * C is width x dim per q, not bounded by the tables
+    C, logs = series.coeff_matrix(D), np.log(np.array(D.indices(), dtype=np.float64))
+    series._line_grid_scan(logs, C, 0.01, T)
+    tracemalloc.start()
+    try:
+        series._line_grid_scan(logs, C, 0.01, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy's ufunc buffers (8,192 entries per strided operand) are the part not counted; the upper
+    # bound guards the worker budget, the loose lower one that the count still measures this scan
+    assert 0.5 <= peak / series._line_grid_bytes(len(D), D.space.dim, T) <= 1.15
 
 
 def test_a_failing_sweep_scan_on_a_worker_reaches_the_caller(monkeypatch):

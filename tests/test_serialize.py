@@ -15,11 +15,12 @@ from bohrlift import (
     PowerPoly,
     bohr_lift,
     dumps,
+    factorize,
     gallery,
     loads_dirichlet,
     loads_power,
 )
-from bohrlift.serialize import dirichlet_to_dict, power_to_dict
+from bohrlift.serialize import dirichlet_from_dict, dirichlet_to_dict, power_from_dict, power_to_dict
 from conftest import random_dirichlet
 
 
@@ -227,6 +228,65 @@ def test_field_rejections_name_the_bad_coefficient(loader, key, re, im, message)
     with pytest.raises(ValueError) as info:
         loader(doc)
     assert str(info.value) == message
+
+
+def _long_doc(last: str, power: bool) -> str:
+    """A 3,000-entry document: 2,999 valid scalar entries, then the entry with fields `last`."""
+    if power:
+        good = [json.dumps({"pairs": [list(p) for p in factorize(n).pairs], "re": [0.25 * n], "im": [0.5]}) for n in range(1, 3000)]
+    else:
+        good = [json.dumps({"n": n, "re": [0.25 * n], "im": [0.5]}) for n in range(1, 3000)]
+    return '{"space": {"dim": 1, "norm": "l2"}, "coeffs": [%s]}' % ", ".join([*good, "{%s}" % last])
+
+
+_ONE = '"re": [1.0], "im": [0.0]'
+
+
+@pytest.mark.parametrize(
+    "power, last, message",
+    [
+        (True, f'"pairs": [[1, 2], [1, 3]], {_ONE}', "pairs must have increasing positions and positive exponents: ((1, 2), (1, 3))"),
+        (True, f'"pairs": [[4, 1], [2, 1]], {_ONE}', "pairs must have increasing positions and positive exponents: ((4, 1), (2, 1))"),
+        (True, f'"pairs": [[0, 0]], {_ONE}', "pairs must have increasing positions and positive exponents: ((0, 0),)"),
+        (True, f'"pairs": [[-1, 1]], {_ONE}', "pairs must have increasing positions and positive exponents: ((-1, 1),)"),
+        (True, f'"pairs": [[0, true]], {_ONE}', "'pairs' must be a list of [position, exponent] integer pairs, got [[0, True]]"),
+        (True, f'"pairs": [[0, 1]], {_ONE}', "duplicate index [[0, 1]]"),  # the index of 2
+        (True, '"pairs": [[5000, 1]], "re": [true], "im": [0.0]', "'re' and 'im' entries must be numbers, got [True] and [0.0]"),
+        (True, '"pairs": [[5000, 1]], "re": [1.0], "im": ["0.5"]', "'re' and 'im' entries must be numbers, got [1.0] and ['0.5']"),
+        (True, '"pairs": [[5000, 1]], "re": [1.0, 2.0], "im": [0.0, 0.0]', "coefficient needs 're' and 'im' lists of length 1"),
+        (False, f'"n": 0, {_ONE}', "Dirichlet indices start at 1, got 0"),
+        (False, f'"n": {2**63}, {_ONE}', "index 9223372036854775808 is beyond the 64-bit range"),
+        (False, f'"n": 5, {_ONE}', "duplicate index 5"),
+        (False, f'"n": true, {_ONE}', "index must be an integer, got True"),
+        (False, '"n": 3000, "re": [true], "im": [0.0]', "'re' and 'im' entries must be numbers, got [True] and [0.0]"),
+        (False, '"n": 3000, "re": [1.0], "im": ["0.5"]', "'re' and 'im' entries must be numbers, got [1.0] and ['0.5']"),
+        (False, '"n": 3000, "re": [1.0, 2.0], "im": [0.0, 0.0]', "coefficient needs 're' and 'im' lists of length 1"),
+        (False, '"n": 0, "re": [true], "im": [0.0]', "'re' and 'im' entries must be numbers, got [True] and [0.0]"),  # fields before range
+    ],
+)
+def test_bulk_loaders_reject_a_bad_last_entry_as_the_entry_loop_does(power, last, message):
+    # the checks run over all entries at once; a fault in the last of 3,000 still gives the entry's own error
+    with pytest.raises(ValueError) as info:
+        (loads_power if power else loads_dirichlet)(_long_doc(last, power))
+    assert str(info.value) == message
+
+
+def test_a_position_past_64_bits_still_loads():
+    P = loads_power(_long_doc(f'"pairs": [[{2**70}, 1]], {_ONE}', True))
+    assert len(P) == 3000 and P.width == 2**70 + 1
+    assert P[MultiIndex.unit(2**70)][0] == 1.0
+
+
+def test_dict_trees_load_again_without_json(rng):
+    # power_to_dict holds each index's pair tuples, which the loader takes as it takes lists
+    D = random_dirichlet(rng, max_index=3000, dim=2)
+    P = bohr_lift(D)
+    assert dirichlet_from_dict(dirichlet_to_dict(D)) == D
+    assert power_from_dict(power_to_dict(P)) == P
+    doc = power_to_dict(P)
+    doc["coeffs"][-1]["pairs"] = doc["coeffs"][0]["pairs"]  # the entry loop takes tuples too
+    with pytest.raises(ValueError, match="duplicate index"):
+        power_from_dict(doc)
 
 
 def test_fields_load_into_the_coefficients_exactly():
