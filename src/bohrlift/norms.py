@@ -43,7 +43,7 @@ from .series import (
     bohr_lift,
     coeff_matrix,
 )
-from .spaces import row_norms
+from .spaces import max_row_norm, row_norms
 
 EXACT_PARSEVAL = "exact_parseval"
 TORUS_MC = "torus_mc"
@@ -375,7 +375,7 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
         )
     best = 0.0
     for vals in lattice_value_chunks(P, G):
-        best = max(best, float(row_norms(vals, P.space).max()))
+        best = max(best, max_row_norm(vals, P.space))
     return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**k)
 
 
@@ -412,7 +412,7 @@ def vertical_sup(D: DirichletPoly, R: float, t_samples: int) -> NormEstimate:
     the line inside the torus.
     """
     h, R, T = _line_spacing(D, R, t_samples)
-    return NormEstimate(float(row_norms(_line_grid_values(D, h, T), D.space).max()), VERTICAL_SUP, 0.0, T, 0, R=R)
+    return NormEstimate(max_row_norm(_line_grid_values(D, h, T), D.space), VERTICAL_SUP, 0.0, T, 0, R=R)
 
 
 def _vertical_sups(D: DirichletPoly, scans: list, t_samples) -> list[NormEstimate]:
@@ -436,7 +436,7 @@ def _vertical_sups(D: DirichletPoly, scans: list, t_samples) -> list[NormEstimat
 
     def share(part):
         for key in part:
-            sups[key] = float(row_norms(series._line_grid_scan(logs[: key[0]], C[: key[0]], key[1], T), D.space).max())
+            sups[key] = max_row_norm(series._line_grid_scan(logs[: key[0]], C[: key[0]], key[1], T), D.space)
 
     _run_shares(share, shares)
     return [NormEstimate(sups[key], VERTICAL_SUP, 0.0, T, 0, R=key[2]) for key in keys]

@@ -150,6 +150,58 @@ def poisson_convolve_exact(P: PowerPoly, r: RadiusVector) -> PowerPoly:
     return PowerPoly({alpha: v * monomial_at(alpha, r.radii) for alpha, v in P.items()}, P.space)
 
 
+_PROBE = np.ones(64)
+
+
+def _clear_upper_halves() -> None:
+    """Run one small numpy AVX loop, whose closing vzeroupper clears the vector registers' upper halves.
+
+    OpenBLAS's gemm leaves them set, and pocketfft's SSE-encoded loops
+    then run several times slower until something clears them (probably
+    the AVX-to-SSE transition penalty).  On a 2-core AVX-512 x86-64 the
+    strided last-axis FFTs of the eight engine blocks of a G = 64,
+    m = 3, C^2 lattice took 17.9 ms straight after each block's gemm
+    and 5.0 ms with this call in between.  numpy's copy of the lines
+    into contiguous order happens to clear them too; this call keeps
+    the transforms clear whatever runs before them.
+    """
+    np.add(_PROBE, _PROBE)
+
+
+def _last_axis_spectra(blocks, G: int, d: int):
+    """The forward FFT of each lattice line along the last coordinate, from C-order (points, d) value blocks.
+
+    Yields (lines, d, G) arrays, in lattice order, each a view of one
+    buffer kept across blocks, which the next block overwrites.  A line
+    split across blocks is put back together there first.  With d > 1
+    the lines are also copied there contiguous before their transform,
+    which pocketfft runs over twice as fast as on the block's strided
+    lines; each line's transform is the same either way.
+    """
+    work, held = np.empty((1, d, G), dtype=np.complex128), 0  # held: points of a split line in work[0]
+    for block in blocks:
+        _clear_upper_halves()  # the block came out of a gemm
+        take = min(-held % G, len(block))  # the rest of a split line
+        work[0, :, held : held + take] = block[:take].T
+        held += take
+        if held == G:
+            yield np.fft.fft(work[:1], axis=-1, out=work[:1])
+            held = 0
+        n = (len(block) - take) // G
+        lines = block[take : take + n * G].reshape(n, G, d).transpose(0, 2, 1)
+        if n:
+            if len(work) < n:
+                work = np.empty((n, d, G), dtype=np.complex128)
+            if d > 1:
+                np.copyto(work[:n], lines)
+                lines = work[:n]
+            yield np.fft.fft(lines, axis=-1, out=work[:n])
+        if take + n * G < len(block):  # the start of a split line
+            held = len(block) - take - n * G
+            work[0, :, :held] = block[take + n * G :].T
+        block = lines = None  # the engine makes the next block with this one freed
+
+
 def poisson_convolve_numeric(
     P: PowerPoly,
     r: RadiusVector,
@@ -173,6 +225,20 @@ def poisson_convolve_numeric(
     frequencies never alias (the engine folds nothing) and the only
     deviation from the exact path is the kernel's geometric tail
     r^{grid - degree}.
+
+    The spectrum is taken in one streaming pass, pruned to the support
+    (Markel's FFT pruning).  Each engine block's lines along the last
+    coordinate are transformed as the block arrives
+    (`_last_axis_spectra`), and only the support's last-axis
+    frequencies K are kept, in a (|K|, dim) + (G,) * (k - 1) array.
+    The other axes follow in fftn's order (axis k - 2 down to 0), each
+    on the lines whose trailing frequencies are the tail of some
+    support index.  Every line kept is the one the whole-array fftn
+    transforms, with the same input, so the coefficients are its bits.
+    The working set is G^(k-1) |K| dim values plus about two blocks
+    (the engine's and the pass's buffer), and a grid whose G^k lattice
+    array would not fit in memory still runs, in time proportional to
+    G^k.
     """
     G = check_count(grid_per_dim, "grid_per_dim", 1)
     active, Q = pack(P)
@@ -189,22 +255,26 @@ def poisson_convolve_numeric(
         return PowerPoly._moved(dict(P.items()), P.space)
 
     d = P.space.dim
-    spectrum = np.empty((G,) * m + (d,), dtype=np.complex128)
-    flat, lo = spectrum.reshape(-1, d), 0
-    for block in lattice_value_chunks(Q, G):
-        flat[lo : lo + len(block)] = block
-        lo += len(block)
-    np.fft.fftn(spectrum, axes=tuple(range(m)), out=spectrum)
+    idx = np.array([alpha.exponents + (0,) * (m - len(alpha.exponents)) for alpha in Q.indices()])
+    K, at = np.unique(idx[:, -1], return_inverse=True)  # the support's last-axis frequencies
+    spectrum = np.empty((len(K), d, G ** (m - 1)), dtype=np.complex128)
+    lo = 0
+    for lines in _last_axis_spectra(lattice_value_chunks(Q, G), G, d):
+        spectrum[..., lo : lo + len(lines)] = lines[:, :, K].T
+        lo += len(lines)
+    spectrum = spectrum.reshape((len(K), d) + (G,) * (m - 1))
+    for j in range(m - 2, -1, -1):  # fftn's axis order; spectrum is (tails, d) + (G,) * (j + 1)
+        _, first, tail = np.unique(idx[:, j:], axis=0, return_index=True, return_inverse=True)
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        spectrum, at = spectrum[at[first], ..., idx[first, j]], tail  # each tail alpha_j.. of the support
+    coeffs = spectrum[at]
 
-    # per-coordinate kernel on the lattice offsets, transformed once each;
-    # only the support's entries of the product spectrum are formed
+    # per-coordinate kernel on the lattice offsets, transformed once each
     ell = np.arange(G)
-    idx = np.array([alpha.exponents + (0,) * (m - len(alpha.exponents)) for alpha in Q.indices()]).T
-    coeffs = spectrum[tuple(idx)]
     for j in range(m):
         rj = r.radii[active[j]]
         kj = (1.0 - rj**2) / np.abs(1.0 - rj * np.exp(2j * math.pi * ell / G)) ** 2
-        coeffs *= np.fft.fft(kj)[idx[j], None]
+        coeffs *= np.fft.fft(kj)[idx[:, j], None]
     return PowerPoly(dict(zip(P.indices(), coeffs / G ** (2 * m))), P.space)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .multiindex import EMPTY_INDEX, MultiIndex
 from .primes import MAX_INDEX, factorize_all, index_of, primes_up_to, trial_factors
-from .spaces import CoeffSpace, SCALAR, as_coeff_array, row_norms
+from .spaces import CoeffSpace, SCALAR, as_coeff_array, max_row_norm
 
 
 def _infer_space(values) -> CoeffSpace:
@@ -272,7 +272,7 @@ def max_coeff_gap(A, B) -> float:
     zero = np.zeros(A.space.dim, dtype=np.complex128)
     a = np.array([A.get(key, zero) for key in keys])
     b = np.array([B.get(key, zero) for key in keys])
-    return float(row_norms(a - b, A.space).max())
+    return max_row_norm(a - b, A.space)
 
 
 # -- dense views used by the estimators ---------------------------------------

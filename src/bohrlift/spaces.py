@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,27 @@ def row_norms(values: np.ndarray, space: CoeffSpace) -> np.ndarray:
     if values.dtype != np.complex128 or not values.flags.c_contiguous:
         values = np.ascontiguousarray(values, dtype=np.complex128)
     if space.norm == NORM_L2:
-        r = values.view(np.float64)
-        return np.sqrt(np.einsum("ij,ij->i", r, r))
+        return np.sqrt(_squares(values))
     a = np.abs(values)
     return np.einsum("ij->i", a) if space.norm == NORM_L1 else a.max(axis=-1)
+
+
+def max_row_norm(values: np.ndarray, space: CoeffSpace) -> float:
+    """`row_norms(values, space).max()` as a float, with one square root under l2.
+
+    A correctly rounded square root is monotone, so the root of the
+    largest squared l2 norm is the largest root, bit for bit (a NaN or
+    an overflowed square included).  Rows of one entry keep |v|.
+    """
+    if space.norm != NORM_L2 or values.shape[-1] == 1:
+        return float(row_norms(values, space).max())
+    return math.sqrt(float(_squares(np.ascontiguousarray(values, dtype=np.complex128)).max()))
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """Squared l2 norm of each row of a C-contiguous complex128 array: re^2 + im^2 in one einsum pass over its float64 view."""
+    r = values.view(np.float64)
+    return np.einsum("ij,ij->i", r, r)
 
 
 def vector_norm(value: np.ndarray, space: CoeffSpace) -> float:

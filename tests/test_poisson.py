@@ -175,6 +175,62 @@ def test_numeric_poisson_memory_is_one_lattice_array():
     assert peak <= 12 * 2**20
 
 
+def full_width_poly(rng, width, terms, dim, last=None):
+    """terms distinct random exponent vectors in [0, 3]^width using every coordinate, with exponent `last` in the last one if given."""
+    while True:
+        alphas = {tuple(int(e) for e in rng.integers(0, 4, size=width)) for _ in range(terms)}
+        if last is not None:
+            alphas = {a[:-1] + (last,) for a in alphas}
+        if len(alphas) == terms and all(any(a[j] for a in alphas) for j in range(width)):
+            break
+    return PowerPoly(
+        {MultiIndex(a): rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for a in sorted(alphas)},
+        CoeffSpace(dim),
+    )
+
+
+@pytest.mark.parametrize(
+    "width, dim, G, last",
+    [
+        (1, 2, 40_000, None),  # every last-axis line split across engine blocks
+        (1, 3, 50_000, None),  # and across three of them
+        (4, 3, 20, None),  # at the dim cap
+        (3, 2, 20, 2),  # one exponent in the last used coordinate
+        (3, 2, 64, None),  # the benchmark's shape
+    ],
+)
+def test_streaming_numeric_poisson_is_the_full_array_formula_bit_for_bit(width, dim, G, last):
+    rng = np.random.default_rng([width, dim, G])
+    for _ in range(2):
+        P = full_width_poly(rng, width, 10 if width > 1 else 4, dim, last)
+        r = RadiusVector(rng.uniform(0.3, 0.6, size=width).tolist())
+        reference = full_array_poisson(P, r, G)
+        N = poisson_convolve_numeric(P, r, G)
+        assert N.coeffs.keys() == reference.keys()
+        assert all(v.tobytes() == reference[alpha].tobytes() for alpha, v in N.items())
+
+
+@pytest.mark.parametrize("dim, G, pieces", [(2, 40_000, 2), (3, 50_000, 3)])
+def test_the_split_cases_split_each_line(dim, G, pieces):
+    # the engine yields a width-1 line in pieces of at most _CHUNK_ENTRIES values
+    P = full_width_poly(np.random.default_rng(4), 1, 4, dim)
+    assert len(list(lattice_value_chunks(P, G))) == pieces
+
+
+@pytest.mark.parametrize("width, dim, G, limit_mib", [(3, 2, 64, 5), (4, 1, 32, 6)])
+def test_streaming_numeric_poisson_memory_is_the_pruned_spectrum_and_a_few_blocks(width, dim, G, limit_mib):
+    # the G^m lattice array (8 and 16 MiB here) is never made; the kept spectrum is G^(m-1) |K| dim values
+    P = full_width_poly(np.random.default_rng(width), width, 10, dim)
+    r = RadiusVector([0.4, 0.5, 0.6, 0.3][:width])
+    tracemalloc.start()
+    try:
+        poisson_convolve_numeric(P, r, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
+
+
 def test_constant_preserved():
     C = PowerPoly({EMPTY_INDEX: 2.0 + 1.0j})
     assert poisson_convolve_exact(C, RadiusVector([0.3])) == C

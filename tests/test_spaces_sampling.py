@@ -19,7 +19,7 @@ from bohrlift import (
 )
 from bohrlift import sampling
 from bohrlift.sampling import KRONECKER_SPAN, angle_rows, point_blocks, time_rows
-from bohrlift.spaces import as_coeff_array, row_norms, vector_norm
+from bohrlift.spaces import as_coeff_array, max_row_norm, row_norms, vector_norm
 
 
 def test_space_validation():
@@ -116,6 +116,24 @@ def test_row_norms_of_non_contiguous_inputs(norm, dim):
     ]
     for view in views:
         assert np.array_equal(row_norms(view, space), row_norms(np.ascontiguousarray(view), space))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_max_row_norm_is_the_largest_row_norm_bit_for_bit(norm, dim):
+    # one square root of the largest square under l2: the same bits as the largest root
+    space = CoeffSpace(dim, norm)
+    rng = np.random.default_rng(5 * dim)
+    for scale in (1e-200, 1e-160, 1e-3, 1.0, 1e150, 1e160, 1e300):  # squares that underflow and overflow too
+        with np.errstate(over="ignore", invalid="ignore"):
+            cases = [_random_rows(rng, 1000, dim) * scale, _random_rows(rng, 3, dim) * rng.uniform(0, scale, (3, 1))]
+            for rows in cases + [rows[:, ::-1] for rows in cases]:
+                got = max_row_norm(rows, space)
+                assert type(got) is float
+                assert got.hex() == float(row_norms(rows, space).max()).hex()
+    rows = _random_rows(rng, 10, dim)
+    rows[4, 0] = complex(math.nan, 0.0)
+    assert math.isnan(max_row_norm(rows, space)) and math.isnan(row_norms(rows, space).max())
 
 
 def test_coeff_arrays_immutable():
