@@ -41,7 +41,6 @@ from .norms import (
     norm_hp_mc,
     norm_p_limit_check,
     vertical_mean,
-    vertical_mean_diagnostic,
     vertical_sup,
 )
 from .partial_sums import (
@@ -177,6 +176,5 @@ __all__ = [
     "twist",
     "unit_direction_family",
     "vertical_mean",
-    "vertical_mean_diagnostic",
     "vertical_sup",
 ]

@@ -39,7 +39,6 @@ from .series import (
     _CHUNK_ENTRIES,
     DirichletPoly,
     PowerPoly,
-    _line_grid_values,
     bohr_lift,
     coeff_matrix,
 )
@@ -161,9 +160,11 @@ _DRAW_CHUNKS = 3
 
 
 def _run_shares(work, shares: list) -> None:
-    """work(share) for each share, the first in this thread and the others on a thread pool; raises after all have joined."""
+    """work(share) for each share: a lone one inline, with no pool; else the first in this thread and the others on a thread pool, raising after all have joined."""
+    if len(shares) == 1:
+        return work(shares[0])
     from concurrent.futures import ThreadPoolExecutor  # not at module level: it loads logging, 6 ms of `import bohrlift`
-    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:  # threads start on submit: one share starts none
+    with ThreadPoolExecutor(len(shares) - 1) as pool:
         futures = [pool.submit(work, part) for part in shares[1:]]
         work(shares[0])
     for future in futures:
@@ -376,6 +377,7 @@ def norm_hinf_grid(poly, grid_per_dim: int, dim_cap: int = DEFAULT_GRID_DIM_CAP)
     best = 0.0
     for vals in lattice_value_chunks(P, G):
         best = max(best, max_row_norm(vals, P.space))
+        del vals  # before the engine makes the next block, so that one block is held at a time
     return NormEstimate(best, TORUS_GRID_SUP, 0.0, G**k)
 
 
@@ -393,12 +395,14 @@ def _line_spacing(D: DirichletPoly, R: float, t_samples) -> tuple[float, float, 
 def vertical_mean(D: DirichletPoly, p: float, R: float, t_samples: int) -> NormEstimate:
     """Trapezoid value of ((1/2R) int_{-R}^{R} ||D(it)||^p dt)^{1/p}.
 
-    Converges to the H_p norm as R grows; use `vertical_mean_diagnostic`
-    to watch the approach along R, 2R, 4R.
+    Converges to the H_p norm as R grows; to watch the approach, compare
+    calls at R, 2R and 4R with (t_samples - 1) 2^k + 1 nodes, which keeps
+    the node spacing.
     """
     check_p(p)
     dt, R, T = _line_spacing(D, R, t_samples)
-    vp, m = _scaled_powers(row_norms(_line_grid_values(D, dt, T), D.space), p)
+    values = series._line_grid_scan(np.log(np.array(D.indices(), dtype=np.float64)), coeff_matrix(D), dt, T)
+    vp, m = _scaled_powers(row_norms(values, D.space), p)
     integral = (pairwise_sum(vp) - 0.5 * (vp[0] + vp[-1])) * dt
     value = m * float(integral / (2.0 * R)) ** (1.0 / p)
     return NormEstimate(value, VERTICAL_MEAN, 0.0, T, 0, R=R)
@@ -411,8 +415,7 @@ def vertical_sup(D: DirichletPoly, R: float, t_samples: int) -> NormEstimate:
     values climb toward the sup norm of the lift by equidistribution of
     the line inside the torus.
     """
-    h, R, T = _line_spacing(D, R, t_samples)
-    return NormEstimate(max_row_norm(_line_grid_values(D, h, T), D.space), VERTICAL_SUP, 0.0, T, 0, R=R)
+    return _vertical_sups(D, [(len(D), R)], t_samples)[0]
 
 
 def _vertical_sups(D: DirichletPoly, scans: list, t_samples) -> list[NormEstimate]:
@@ -440,15 +443,6 @@ def _vertical_sups(D: DirichletPoly, scans: list, t_samples) -> list[NormEstimat
 
     _run_shares(share, shares)
     return [NormEstimate(sups[key], VERTICAL_SUP, 0.0, T, 0, R=key[2]) for key in keys]
-
-
-def vertical_mean_diagnostic(
-    D: DirichletPoly, p: float, R: float, t_samples: int
-) -> list[NormEstimate]:
-    """Line means at R, 2R and 4R (node count scaled to keep resolution)."""
-    return [
-        vertical_mean(D, p, R * 2**k, (t_samples - 1) * 2**k + 1) for k in range(3)
-    ]
 
 
 def norm_p_limit_check(D, p_grid, cfg: SamplerConfig) -> list[tuple[float, NormEstimate]]:

@@ -60,16 +60,12 @@ class SamplerConfig:
         return SamplerConfig(self.samples, seed, self.scheme)
 
 
-def time_rows(cfg: SamplerConfig, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the Kronecker scheme's flow times, cfg.samples uniform draws from [0, KRONECKER_SPAN)."""
-    return next(point_blocks(cfg, None, lo, hi, max(1, hi - lo)), np.empty(0))
-
-
 def torus_angles(cfg: SamplerConfig, m: int) -> np.ndarray:
     """(samples, m) array of angles, column j from coordinate j's own iid stream; the sample points are exp(1j * angles)."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    return angle_rows(cfg, range(m), 0, cfg.samples)
+    # one coordinate-major block of all the samples, transposed: each coordinate's angles stay contiguous
+    return next(point_blocks(cfg, range(m), 0, cfg.samples, cfg.samples)).T
 
 
 def stream_seeds(cfg: SamplerConfig, positions) -> list:
@@ -117,18 +113,6 @@ def point_blocks(cfg: SamplerConfig, positions, lo: int, hi: int, step: int, see
         if not iid:  # one row of flow times, or the flow's angles at the positions
             block = block[0] if positions is None else np.mod(neg_logs * block[0], 2.0 * math.pi)
         yield block
-
-
-def angle_rows(cfg: SamplerConfig, positions, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the angles at the coordinates `positions`, shape (hi - lo, k); see `point_blocks`.
-
-    Under the iid scheme column j holds rows [lo, hi) of the stream of
-    coordinate positions[j] alone, whatever the other positions.  The
-    array is the transpose of one coordinate-major block, so each
-    coordinate's angles are contiguous.
-    """
-    positions = list(positions)
-    return next(point_blocks(cfg, positions, lo, hi, max(1, hi - lo)), np.empty((len(positions), 0))).T
 
 
 #: Largest leaf of the pairwise summation tree.

@@ -16,9 +16,10 @@ polynomial constructors) numbers that overflow to infinity.
 Loading is a few bulk passes: the indices, the pairs of every power
 index and the 're' and 'im' lists of every coefficient are each checked
 in C-level passes over the whole document, the coefficients convert in
-one step, and the polynomial is built from that one stack
-(`_SparsePoly._stacked`).  Only a document that fails a check is read
-again entry by entry, so an error still names the first bad entry.
+one step, and the polynomial takes over the map `series._store` makes
+from that one stack (`_SparsePoly._moved`).  Only a document that fails
+a check is read again entry by entry, so an error still names the first
+bad entry.
 Writing hands each index's stored pair tuples to the C encoder, which
 writes them as the same arrays, so the bytes are unchanged.
 """
@@ -32,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .multiindex import MultiIndex
-from .series import DirichletPoly, PowerPoly, coeff_rows
+from .series import DirichletPoly, PowerPoly, _store, coeff_rows
 from .spaces import CoeffSpace
 
 
@@ -113,7 +114,7 @@ def dirichlet_from_dict(obj: Any) -> DirichletPoly:
     keys = _dirichlet_indices(entries)
     stack = _vectors_from_fields(entries, space.dim)
     DirichletPoly._check_keys(keys)
-    return DirichletPoly._stacked(keys, stack, space)
+    return DirichletPoly._moved(_store(keys, stack), space)
 
 
 def power_to_dict(P: PowerPoly) -> dict:
@@ -203,7 +204,7 @@ def power_from_dict(obj: Any) -> PowerPoly:
     space = _space_from_dict(obj["space"])
     entries = list(obj["coeffs"])
     keys = _power_indices(entries)
-    return PowerPoly._stacked(keys, _vectors_from_fields(entries, space.dim), space)
+    return PowerPoly._moved(_store(keys, _vectors_from_fields(entries, space.dim)), space)
 
 
 def dumps(poly) -> str:

@@ -90,25 +90,19 @@ class _SparsePoly:
         self._coeffs = _store([self._key(key) for key in items], stack)
 
     @classmethod
-    def _stacked(cls, keys: list, stack: np.ndarray, space: CoeffSpace):
-        """The constructor's core (`_store`) on validated, distinct keys and their (terms, dim) coefficient rows."""
-        poly = cls.__new__(cls)
-        poly._space = space
-        poly._coeffs = _store(keys, stack)
-        return poly
+    def _moved(cls, coeffs: dict, space: CoeffSpace):
+        """A polynomial that takes over coeffs, a fresh dict of stored coefficient vectors, as its own map.
 
-    @classmethod
-    def _moved(cls, coeffs: Mapping, space: CoeffSpace):
-        """A polynomial on coefficient vectors stored by other polynomials, kept as they are.
-
-        Stored vectors are immutable copies, nonzero and finite, and the
-        keys are valid already (stored keys, or made by `factorize_all`,
-        `index_of` or `pack`), so nothing is checked again; lift and
-        transform move, never copy.
+        Stored vectors are immutable copies, nonzero and finite (kept by
+        other polynomials, or made by `_store`), and the keys are valid
+        already (stored keys, made by `factorize_all`, `index_of` or
+        `pack`, or checked by a loader), so nothing is checked again;
+        lift and transform move, never copy.  Every caller builds the
+        dict for this call alone, so it is not copied either.
         """
         poly = cls.__new__(cls)
         poly._space = space
-        poly._coeffs = dict(coeffs)
+        poly._coeffs = coeffs
         return poly
 
     @property
@@ -320,12 +314,6 @@ def _unit_from_half(half: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
     np.subtract(tmp, 1.0, out=out.real)
 
 
-def _unit(phase: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """out = exp(i phase) by `_unit_from_half` on phase / 2, for callers that hold whole phases; phase is overwritten."""
-    np.multiply(phase, 0.5, out=phase)
-    _unit_from_half(phase, tmp, out)
-
-
 #: Workspaces not in use, each a list of flat work buffers (`_work_views`):
 #: a thread takes one for a pass (`workspace`), and the list keeps at most
 #: one per CPU, so work arrays outlive the call that mapped them.
@@ -495,11 +483,6 @@ def power_values_at_angles(P: PowerPoly, theta: np.ndarray) -> np.ndarray:
 def dirichlet_line_values(D: DirichletPoly, t: np.ndarray) -> np.ndarray:
     """Evaluate D on the vertical line, D(it) = sum_n a_n n^{-it}, t of shape (T,)."""
     return evaluate(D, np.asarray(t, dtype=np.float64).reshape(-1))
-
-
-def _line_grid_values(D: DirichletPoly, h: float, T: int) -> np.ndarray:
-    """(T, dim) values of D at the T >= 2 centred nodes t_k = (k - (T-1)/2) h (see `_line_grid_scan`)."""
-    return _line_grid_scan(np.log(np.array(D.indices(), dtype=np.float64)), coeff_matrix(D), h, T)
 
 
 def _line_grid_scan(logs: np.ndarray, C: np.ndarray, h: float, T: int) -> np.ndarray:

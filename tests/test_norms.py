@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,14 +37,13 @@ from bohrlift import (
     primes_up_to,
     torus_angles,
     vertical_mean,
-    vertical_mean_diagnostic,
     vertical_sup,
 )
 from bohrlift import norms, series
 from bohrlift.errors import DimensionCapError, NoClosedFormError
 from bohrlift.norms import lattice_value_chunks, mc_estimate
 from bohrlift.primes import sieve_limit
-from bohrlift.sampling import time_rows
+from bohrlift.sampling import point_blocks
 from bohrlift.series import evaluate
 from bohrlift.spaces import row_norms, vector_norm
 from conftest import ON_2_AND_7, random_dirichlet
@@ -215,7 +217,8 @@ def test_vertical_mean_approaches_parseval():
 
 
 def test_vertical_mean_diagnostic_stabilizes():
-    rows = vertical_mean_diagnostic(TWO_TERM, 2.0, 2.0e3, 40001)
+    # line means at R, 2R and 4R, the node count scaled to keep the spacing
+    rows = [vertical_mean(TWO_TERM, 2.0, 2.0e3 * 2**k, 40000 * 2**k + 1) for k in range(3)]
     values = [est.value for est in rows]
     assert len(values) == 3
     # doubling R twice: successive values drift by less than a percent
@@ -374,8 +377,17 @@ def test_seeded_outputs_do_not_depend_on_the_worker_count(monkeypatch, scheme, s
         sys.setswitchinterval(interval)
     # and every split reads the plain evaluation at the whole-sample draw
     P = bohr_lift(PARALLEL)
-    target, points = (P, torus_angles(cfg, P.width)) if scheme == "iid" else (PARALLEL, time_rows(cfg, 0, samples))
+    target, points = (P, torus_angles(cfg, P.width)) if scheme == "iid" else (PARALLEL, next(point_blocks(cfg, None, 0, samples, samples)))
     assert serial[0] == mc_estimate(row_norms(evaluate(target, points), PARALLEL.space), 4.0, cfg)
+
+
+def test_a_lone_line_scan_starts_no_thread_pool():
+    # one scan is one share, run inline: concurrent.futures (and the logging it loads) stays unimported
+    code = "import sys; from bohrlift import gallery, vertical_sup; vertical_sup(gallery('zeta_shift', 50), 100.0, 1001); print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(norms.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_a_worker_exception_reaches_the_caller(monkeypatch):
@@ -604,6 +616,25 @@ def test_lattice_scan_memory_follows_one_block(rng):
         tracemalloc.stop()
     assert est.samples == 16**5
     assert peak <= 8 * 2**20
+
+
+def test_lattice_scan_holds_one_block_at_a_time():
+    # 32^4 points at dim 2 come in blocks of one chunk (1 MiB); a scan that keeps the
+    # previous block bound while the engine makes the next peaks at 2.2 MiB
+    rng = np.random.default_rng(7)
+    alphas = set()
+    while len(alphas) < 12:
+        alphas.add(tuple(int(e) for e in rng.integers(0, 4, size=4)))
+    P = PowerPoly({MultiIndex(a): rng.normal(size=2) + 1j * rng.normal(size=2) for a in sorted(alphas)}, CoeffSpace(2))
+    assert P.width == 4
+    tracemalloc.start()
+    try:
+        est = norm_hinf_grid(P, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.samples == 32**4
+    assert peak <= 1.6 * 2**20
 
 
 def test_lattice_blocks_hold_at_most_a_chunk_of_values(rng):

@@ -162,19 +162,6 @@ def test_numeric_poisson_is_the_full_array_formula_bit_for_bit(width, dim, G):
         assert all(v.tobytes() == reference[alpha].tobytes() for alpha, v in N.items())
 
 
-def test_numeric_poisson_memory_is_one_lattice_array():
-    # G = 64, m = 3, dim 2: one spectrum array is 8 MiB; the full-array formula peaks at 24 MiB
-    P = random_power_poly(np.random.default_rng(3), 3, 10, 2)
-    assert P.width == 3
-    tracemalloc.start()
-    try:
-        poisson_convolve_numeric(P, RadiusVector([0.4, 0.5, 0.6]), 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 2**20
-
-
 def full_width_poly(rng, width, terms, dim, last=None):
     """terms distinct random exponent vectors in [0, 3]^width using every coordinate, with exponent `last` in the last one if given."""
     while True:
@@ -217,10 +204,18 @@ def test_the_split_cases_split_each_line(dim, G, pieces):
     assert len(list(lattice_value_chunks(P, G))) == pieces
 
 
-@pytest.mark.parametrize("width, dim, G, limit_mib", [(3, 2, 64, 5), (4, 1, 32, 6)])
-def test_streaming_numeric_poisson_memory_is_the_pruned_spectrum_and_a_few_blocks(width, dim, G, limit_mib):
+@pytest.mark.parametrize(
+    "make, width, dim, G, limit_mib",
+    [
+        pytest.param(full_width_poly, 3, 2, 64, 5, id="3-2-64-5"),
+        pytest.param(full_width_poly, 4, 1, 32, 6, id="4-1-32-6"),
+        pytest.param(random_power_poly, 3, 2, 64, 5, id="3-2-64-5-random"),  # the full-array formula peaks at 24 MiB here
+    ],
+)
+def test_streaming_numeric_poisson_memory_is_the_pruned_spectrum_and_a_few_blocks(make, width, dim, G, limit_mib):
     # the G^m lattice array (8 and 16 MiB here) is never made; the kept spectrum is G^(m-1) |K| dim values
-    P = full_width_poly(np.random.default_rng(width), width, 10, dim)
+    P = make(np.random.default_rng(width), width, 10, dim)
+    assert P.width == width
     r = RadiusVector([0.4, 0.5, 0.6, 0.3][:width])
     tracemalloc.start()
     try:

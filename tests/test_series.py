@@ -15,6 +15,7 @@ from bohrlift import (
     DirichletPoly,
     MultiIndex,
     PowerPoly,
+    RadiusVector,
     bohr_lift,
     bohr_transform,
     dirichlet_line_values,
@@ -22,11 +23,14 @@ from bohrlift import (
     factorize,
     gallery,
     loads_dirichlet,
+    loads_power,
     max_coeff_gap,
     partial_sum,
+    poisson_convolve_numeric,
     power_eval,
     power_values_at_angles,
     restrict,
+    translate,
     vertical_sup,
 )
 from bohrlift import series
@@ -120,6 +124,30 @@ def test_stored_coefficients_own_their_memory_and_are_read_only(make):
     for v in poly.coeffs.values():
         assert v.base is None and v.flags.owndata and not v.flags.writeable
         assert v.shape == (poly.space.dim,) and v.dtype == np.complex128
+
+
+def test_moved_polynomials_own_their_coefficient_maps():
+    # `_moved` takes over the dict it is given, so no caller may hand it one that another polynomial holds
+    D = DirichletPoly({1: 1.0, 2: -0.5, 7: 0.8j, 14: 1.5, 49: -0.7, 98: 0.4 - 0.3j})
+    P = bohr_lift(D)
+    _, packed = series.pack(P)
+    assert packed is not P  # the lift uses coordinates 0 and 3: pack moves it
+    constant = PowerPoly({EMPTY_INDEX: 2.0 + 1.0j})
+    made = [
+        (D, P),
+        (P, bohr_transform(P)),
+        (P, restrict(P, 2)),
+        (P, packed),
+        (D, partial_sum(D, 20)),
+        (D, translate(D, 0)),
+        (constant, poisson_convolve_numeric(constant, RadiusVector([0.5]), 8)),
+        (D, loads_dirichlet(dumps(D))),
+        (P, loads_power(dumps(P))),
+    ]
+    for source, poly in made:
+        assert poly._coeffs is not source._coeffs
+    polys = [D, constant, *(poly for _, poly in made)]  # P is the first made
+    assert len({id(poly._coeffs) for poly in polys}) == len(polys)
 
 
 _COVERED = st.integers(1, 2**20)
@@ -400,6 +428,12 @@ def test_multiplicative_kernel_exact_at_zero(rng):
     assert np.array_equal(power_values_at_angles(P, theta), direct_values(P, theta))
 
 
+def unit(phase, tmp, out):
+    """out = exp(i phase) by `series._unit_from_half` on phase / 2, which is exact; phase is overwritten."""
+    np.multiply(phase, 0.5, out=phase)
+    series._unit_from_half(phase, tmp, out)
+
+
 def term_major_monomials(poly, points):
     """The kernel with every term a row of its own: a term that is a base value is 1 times
     that value, and the (S, terms) matrix is a C-order copy of the transposed pick of rows."""
@@ -427,7 +461,7 @@ def term_major_monomials(poly, points):
         neg_logs = -np.array([math.log(math.prod(b**e for b, e in base)) for base in bases])
         np.multiply.outer(neg_logs, points, out=phase)
     values = np.empty((len(bases), S), dtype=np.complex128)
-    series._unit(phase, tmp, values)
+    unit(phase, tmp, values)
     rows = {(): np.ones(S, dtype=np.complex128)}
     for alpha in sorted(split, key=len):  # a parent is a shorter prefix
         parent, base = split[alpha]
@@ -537,6 +571,11 @@ def test_a_kept_workspace_serves_larger_and_smaller_plans(monkeypatch, rng):
         assert series.evaluate(polys[i], points[i]).tobytes() == fresh[i]
 
 
+def line_grid_values(D, h, T):
+    """(T, dim) values of D at the T >= 2 centred nodes t_k = (k - (T-1)/2) h, by `series._line_grid_scan`."""
+    return series._line_grid_scan(np.log(np.array(D.indices(), dtype=np.float64)), series.coeff_matrix(D), h, T)
+
+
 def grid_nodes(R, T):
     h = 2.0 * R / (T - 1)
     return (np.arange(T) - (T - 1) / 2) * h, h
@@ -555,7 +594,7 @@ def test_line_grid_on_dense_line(R, tol, T):
     # rounds to about 5e-10 at large |t|; 4096 terms take several term blocks
     D = gallery("zeta_shift", 4096)
     _, h = grid_nodes(R, T)
-    assert relative_gap(series._line_grid_values(D, h, T), direct_grid_values(D, R, T)) <= tol
+    assert relative_gap(line_grid_values(D, h, T), direct_grid_values(D, R, T)) <= tol
 
 
 @pytest.mark.parametrize("T", [2, 3, 4, 1000, 1001])
@@ -564,7 +603,7 @@ def test_line_grid_small_and_even_node_counts(T):
     # Phases reach 137 here, one ulp of which is 2.8e-14
     D = DirichletPoly({1: 1.0, 2: -0.5j, 6: 0.25, 97: 2.0 + 1.0j})
     _, h = grid_nodes(30.0, T)
-    got = series._line_grid_values(D, h, T)
+    got = line_grid_values(D, h, T)
     assert got.shape == (T, 1)
     assert relative_gap(got, direct_grid_values(D, 30.0, T)) <= 1e-13
     if T == 2:
@@ -575,14 +614,14 @@ def test_line_grid_on_vector_coefficients():
     # (C^300, linf): several q blocks of U * C at 300 x 300 entries each
     D = gallery("c0", 300)
     _, h = grid_nodes(1e3, 4001)
-    got = series._line_grid_values(D, h, 4001)
+    got = line_grid_values(D, h, 4001)
     assert got.shape == (4001, 300)
     # phases reach 5.7e3 here, one ulp of which is 9.1e-13
     assert relative_gap(got, direct_grid_values(D, 1e3, 4001)) <= 1e-11
 
 
 def grid_values_with_direct_tables(D, h, T):
-    """_line_grid_values with every row of both tables from its own `_unit` call, in the same blocks."""
+    """line_grid_values with every row of both tables from its own `unit` call, in the same blocks."""
     c, S = (T - 1) // 2, math.isqrt(T - 1) + 1
     q_lo, q_hi = -c // S, (T - 1 - c) // S
     Q, dim = q_hi - q_lo + 1, D.space.dim
@@ -598,7 +637,7 @@ def grid_values_with_direct_tables(D, h, T):
         w = len(logs)
         for table, times in ((W[:, :w], (np.arange(S) - 0.5 * (1 - T % 2)) * h), (U[:, :w], np.arange(q_lo, q_hi + 1) * S * h)):
             phase = np.multiply.outer(times, logs)
-            series._unit(phase, np.empty_like(phase), table)
+            unit(phase, np.empty_like(phase), table)
         for qa in range(0, Q, rows):
             qb = min(Q, qa + rows)
             UC = U[qa:qb, :w].T[:, :, None] * C[lo : lo + w, None, :]
@@ -613,7 +652,7 @@ def test_line_grid_mirrored_table_is_the_direct_one_bit_for_bit(T):
     # U rows for q < 0 are conjugates of those for -q; T = 2 and 3 have no pair to mirror
     for D in (gallery("zeta_shift", 300), gallery("c0", 40)):
         for h in (0.01, 1.0, 50.0):
-            assert series._line_grid_values(D, h, T).tobytes() == grid_values_with_direct_tables(D, h, T).tobytes()
+            assert line_grid_values(D, h, T).tobytes() == grid_values_with_direct_tables(D, h, T).tobytes()
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 60.0), (-1.5e7, 1.5e7)])
@@ -622,7 +661,7 @@ def test_unit_values_from_half_angle_tan(lo, hi):
     phase = np.random.default_rng(21).uniform(lo, hi, size=200_000)
     phase[:3] = 0.0, lo, hi
     out = np.empty(phase.shape, dtype=np.complex128)
-    series._unit(phase.copy(), np.empty_like(phase), out)
+    unit(phase.copy(), np.empty_like(phase), out)
     assert np.max(np.abs(out.real - np.cos(phase))) <= 4.5e-16
     assert np.max(np.abs(out.imag - np.sin(phase))) <= 4.5e-16
     assert np.max(np.abs(np.abs(out) - 1.0)) <= 4.5e-16
@@ -638,7 +677,7 @@ def test_tan_is_odd_bit_for_bit():
 def test_line_grid_keeps_indices_with_huge_prime_factors():
     D = DirichletPoly({1: 1.0, 2**61 - 1: 1.0, 3 * (2**61 - 1): -1.0j})
     _, h = grid_nodes(100.0, 1001)
-    assert relative_gap(series._line_grid_values(D, h, 1001), direct_grid_values(D, 100.0, 1001)) <= 1e-12
+    assert relative_gap(line_grid_values(D, h, 1001), direct_grid_values(D, 100.0, 1001)) <= 1e-12
 
 
 def test_line_grid_centre_node_is_the_coefficient_sum():
@@ -646,7 +685,7 @@ def test_line_grid_centre_node_is_the_coefficient_sum():
     D = gallery("zeta_shift", 4096)
     T = 8193
     _, h = grid_nodes(409600.0, T)
-    centre = series._line_grid_values(D, h, T)[(T - 1) // 2, 0]
+    centre = line_grid_values(D, h, T)[(T - 1) // 2, 0]
     assert centre.imag == 0.0
     assert centre.real == pytest.approx(math.fsum(v[0].real for _, v in D.items()), rel=1e-14)
 

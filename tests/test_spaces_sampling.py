@@ -18,8 +18,19 @@ from bohrlift import (
     torus_angles,
 )
 from bohrlift import sampling
-from bohrlift.sampling import KRONECKER_SPAN, angle_rows, point_blocks, time_rows
+from bohrlift.sampling import KRONECKER_SPAN, point_blocks
 from bohrlift.spaces import as_coeff_array, max_row_norm, row_norms, vector_norm
+
+
+def angle_rows(cfg, positions, lo, hi):
+    """Rows [lo, hi) of the angles at the coordinates `positions`, shape (hi - lo, k): one block of `point_blocks`, transposed."""
+    positions = list(positions)
+    return next(point_blocks(cfg, positions, lo, hi, max(1, hi - lo)), np.empty((len(positions), 0))).T
+
+
+def time_rows(cfg, lo, hi):
+    """Rows [lo, hi) of the Kronecker scheme's flow times: one block of `point_blocks`."""
+    return next(point_blocks(cfg, None, lo, hi, max(1, hi - lo)), np.empty(0))
 
 
 def test_space_validation():
